@@ -10,6 +10,12 @@ answer them alone.  The experiment exercises both halves of that split:
   ``verdicts_json()`` byte-identical to a serial
   ``CorpusValidator(jobs=1)`` pass, while the cross-document ``L_id``
   findings fold at the coordinator;
+- **merge aggregates over real pipes** — on a federated corpus
+  (cross-document duplicates, cross-document references, ghost
+  references) the node-exported aggregates fold to the same
+  ``corpus_violations`` and ``merge_stats`` as ``fold_aggregates``
+  over ``extract_aggregates`` of the parsed documents (asserted,
+  including in ``--smoke``);
 - **incremental watch** — after a cold full pass, editing one file of a
   50-document corpus revalidates exactly that one document (asserted on
   the ``watch_files_revalidated`` counter) and the wake-up completes
@@ -33,9 +39,11 @@ from repro.shard import (
     ShardedCorpusValidator,
     SubprocessNode,
     WatchSession,
+    extract_aggregates,
+    fold_aggregates,
 )
 from repro.workloads.generators import federated_corpus, random_corpus
-from repro.xmlio import serialize
+from repro.xmlio import parse_document, serialize
 
 #: Watch-corpus size: big enough that one revalidation out of N is a
 #: visibly sublinear wake-up, small enough for a CI smoke step.
@@ -57,6 +65,30 @@ def _corpus_files(directory, n_docs: int, seed: int = 0):
                   encoding="utf-8") as fh:
             fh.write(text)
     return dtd, texts
+
+
+def _federated_texts(n_docs: int, seed: int = 0):
+    """A registry corpus with all three cross-document phenomena."""
+    dtd, trees = federated_corpus(n_docs=n_docs, cross_dup_fraction=0.3,
+                                  cross_ref_fraction=0.3,
+                                  dangling_fraction=0.2, seed=seed)
+    return dtd, [(f"reg-{i:04d}", serialize(t))
+                 for i, t in enumerate(trees)]
+
+
+def _findings(report):
+    return ([v.to_dict() for v in report.corpus_violations],
+            report.merge_stats)
+
+
+def _serial_fold(dtd, texts):
+    """The corpus findings folded from each parsed document's
+    ``extract_aggregates`` — what the node exports must reproduce."""
+    violations, stats = fold_aggregates(dtd, [
+        (doc_id, extract_aggregates(dtd,
+                                    parse_document(text, dtd.structure)))
+        for doc_id, text in texts])
+    return [v.to_dict() for v in violations], stats
 
 
 def _timed(f):
@@ -99,6 +131,19 @@ def test_e24_merge_findings_cross_subprocess_shards():
     assert report.ok and not report.corpus_ok
     assert [v.code for v in report.corpus_violations].count("id-clash") \
         == 1
+
+
+def test_e24_federated_aggregates_cross_subprocess_pipes():
+    """Merge aggregates exported by ``serve --stdio`` nodes fold to the
+    same corpus findings as aggregates extracted from parsed trees."""
+    dtd, texts = _federated_texts(n_docs=12, seed=5)
+    with ShardedCorpusValidator(dtd, shards=2,
+                                node_factory=SubprocessNode) as sv:
+        report = sv.validate(texts)
+    assert _findings(report) == _serial_fold(dtd, texts)
+    codes = {v.code for v in report.corpus_violations}
+    assert {"id-clash", "foreign-key"} <= codes
+    assert report.merge_stats["refs_resolved_cross_document"] > 0
 
 
 # -- the incremental watch -------------------------------------------------
@@ -153,6 +198,14 @@ def _report(n_docs: int, smoke: bool) -> int:
         sharded_rep, sharded = _timed(lambda: sv.validate(texts))
     identical = sharded_rep.verdicts_json() == serial_rep.verdicts_json()
 
+    fdtd, ftexts = _federated_texts(n_docs=n_docs)
+    with ShardedCorpusValidator(fdtd, shards=2,
+                                node_factory=SubprocessNode) as fv:
+        fed_rep, fed = _timed(lambda: fv.validate(ftexts))
+    fold_equal = _findings(fed_rep) == _serial_fold(fdtd, ftexts)
+    resolved = fed_rep.merge_stats.get("refs_resolved_cross_document", 0)
+    crossing = bool(fed_rep.corpus_violations) and resolved > 0
+
     with tempfile.TemporaryDirectory() as watch_dir:
         wdtd, wtexts = _corpus_files(watch_dir, WATCH_DOCS)
         obs = Observability()
@@ -173,14 +226,19 @@ def _report(n_docs: int, smoke: bool) -> int:
           f"{os.cpu_count()} core(s), 2 subprocess shards")
     for name, seconds in [("serial jobs=1", serial),
                           ("sharded n=2", sharded),
+                          ("federated sharded n=2", fed),
                           (f"watch cold ({WATCH_DOCS} docs)", cold),
                           ("watch edit 1", warm)]:
         print(f"  {name:<22} {seconds * 1e3:8.1f} ms")
     print(f"  verdicts byte-identical: {identical}")
+    print(f"  federated findings equal the serial fold: {fold_equal} "
+          f"({len(fed_rep.corpus_violations)} corpus findings, "
+          f"{resolved} refs resolved cross-document)")
     print(f"  watch revalidated 1/{WATCH_DOCS}: {one_file}")
     print(f"  watch incremental speedup {speedup:8.1f} x (>= 10 required)")
 
-    ok = identical and one_file and speedup >= 10.0
+    ok = identical and fold_equal and crossing and one_file \
+        and speedup >= 10.0
     print("E24 smoke OK" if ok else "E24 FAILED")
     return 0 if ok else 1
 
@@ -191,9 +249,10 @@ if __name__ == "__main__":
     cli = argparse.ArgumentParser(
         description="E24: sharded corpus validation + watch benchmark")
     cli.add_argument("--smoke", action="store_true",
-                     help="CI mode: byte-identity over subprocess "
-                     "nodes, one-file watch revalidation, and the "
-                     ">= 10x incremental assertion on a smaller corpus")
+                     help="CI mode: byte-identity and merge-fold "
+                     "parity over subprocess nodes, one-file watch "
+                     "revalidation, and the >= 10x incremental "
+                     "assertion on a smaller corpus")
     cli.add_argument("--docs", type=int, default=200,
                      help="parity corpus size (default: 200)")
     args = cli.parse_args()

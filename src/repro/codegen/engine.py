@@ -125,6 +125,10 @@ class CodegenValidator:
             from repro.server.registry import as_handle
 
             self.compiled = as_handle(schema).codegen
+        #: the :class:`RunState` of the most recent document, kept until
+        #: the next one: its finished evaluators are what a shard node
+        #: exports as the document's ``L_id`` merge aggregates
+        self.last_run: "RunState | None" = None
 
     def validate(self, source):
         """Validate a path (:class:`os.PathLike`) or a string that is
@@ -141,7 +145,7 @@ class CodegenValidator:
 
     def validate_text(self, text: str):
         obs = self.obs
-        rs = RunState(self.compiled.plan, obs)
+        rs = self.last_run = RunState(self.compiled.plan, obs)
         if not obs.enabled:
             return self.compiled.scan_str(text, rs)
         with obs.span("codegen.validate", chars=len(text)) as span:
@@ -154,7 +158,7 @@ class CodegenValidator:
         if _NON_ASCII_RE.search(data) is not None:
             return self.validate_text(bytes(data).decode("utf-8"))
         obs = self.obs
-        rs = RunState(self.compiled.plan, obs)
+        rs = self.last_run = RunState(self.compiled.plan, obs)
         if not obs.enabled:
             return self.compiled.scan_bytes(data, rs)
         with obs.span("codegen.validate", chars=len(data)) as span:
@@ -176,7 +180,7 @@ class CodegenValidator:
                 if _NON_ASCII_RE.search(mm) is not None:
                     return self.validate_text(mm[:].decode("utf-8"))
                 obs = self.obs
-                rs = RunState(self.compiled.plan, obs)
+                rs = self.last_run = RunState(self.compiled.plan, obs)
                 if not obs.enabled:
                     return self.compiled.scan_bytes(mm, rs)
                 with obs.span("codegen.validate", chars=len(mm)) as span:

@@ -169,6 +169,13 @@ class CorpusValidator:
         #: back-compat view: True for every single-pass engine
         self.stream = engine in ("stream", "codegen")
         self.fingerprint = self.handle.fingerprint
+        #: per-document ``L_id`` merge aggregates of the most recent
+        #: :meth:`validate` run, in verdict order: the
+        #: ``{position: aggregate}`` dict the worker took from the run
+        #: that produced the verdict, or None for a document answered
+        #: from the cache, one that failed to parse, or any document
+        #: when Σ has no merge-class constraints
+        self.last_aggregates: "list[dict | None]" = []
 
     # -- input normalization -----------------------------------------
 
@@ -292,8 +299,11 @@ class CorpusValidator:
                 flat.extend(payload["verdicts"])
                 if obs:
                     obs.absorb(payload)
+            aggregates: "list[dict | None]" = [None] * len(entries)
             for i, verdict_dict in zip(pending, flat):
                 verdicts[i] = self._to_verdict(keys[i], verdict_dict)
+                aggregates[i] = verdict_dict.get("aggregates")
+            self.last_aggregates = aggregates
         finally:
             if span:
                 span.__exit__(None, None, None)

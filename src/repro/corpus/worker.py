@@ -9,6 +9,12 @@ the streaming path) in and JSON-safe dicts out.
 
 ``jobs=1`` runs the exact same two functions in-process, which is what
 makes the serial fallback bit-identical to the pooled path.
+
+When Σ has merge-class (``L_id``) constraints, each verdict of a
+validated document also carries its ``"aggregates"`` — the
+:func:`~repro.shard.aggregates.aggregates_of` view of the evaluators
+that produced the verdict — so a shard node exports them without
+validating the document a second time.
 """
 
 from __future__ import annotations
@@ -49,7 +55,15 @@ def init_worker(dtd: DTDC, collect_obs: bool, plan=None,
     ``engine="codegen"`` runs ``codegen_source`` carries the generated
     module text, which the worker ``exec``'s exactly once — no worker
     ever runs the generator or touches the source cache.
+
+    Whether verdicts carry merge aggregates follows Σ alone: the
+    merge-class positions (:func:`~repro.shard.locality.classify_sigma`)
+    are resolved here, once per worker.
     """
+    # repro.shard imports the corpus package, so every repro.shard
+    # import in this module is deferred to call time
+    from repro.shard.locality import Locality, classify_sigma
+
     _STATE["dtd"] = dtd
     _STATE["collect_obs"] = collect_obs
     _STATE["plan"] = plan
@@ -57,6 +71,7 @@ def init_worker(dtd: DTDC, collect_obs: bool, plan=None,
     _STATE["traceparent"] = traceparent
     _STATE["engine"] = engine
     _STATE["codegen_source"] = codegen_source
+    _STATE["merge"] = classify_sigma(dtd)[Locality.MERGE]
 
 
 def _chunk_obs(n_docs: int) -> "tuple[Optional[Observability], object]":
@@ -82,10 +97,14 @@ def validate_chunk(chunk: "list[tuple[str, str]]") -> dict:
     one verdict dict per document *in chunk order* (``report`` is a
     :meth:`~repro.constraints.violations.ViolationReport.to_dict`
     payload, or ``None`` with ``error`` set when the document failed to
-    parse), plus this call's observability export for the coordinator
-    to merge.
+    parse; ``aggregates`` rides along when Σ has merge-class
+    constraints), plus this call's observability export for the
+    coordinator to merge.
     """
+    from repro.shard.aggregates import extract_aggregates
+
     dtd: DTDC = _STATE["dtd"]
+    merge = _STATE["merge"]
     obs, span = _chunk_obs(len(chunk))
     verdicts = []
     try:
@@ -93,9 +112,11 @@ def validate_chunk(chunk: "list[tuple[str, str]]") -> dict:
             try:
                 tree = parse_document(text, dtd.structure, obs=obs)
                 report = validate(tree, dtd, obs=obs)
-                verdicts.append({"doc": doc_id,
-                                 "report": report.to_dict(),
-                                 "error": None})
+                verdict = {"doc": doc_id, "report": report.to_dict(),
+                           "error": None}
+                if merge:
+                    verdict["aggregates"] = extract_aggregates(dtd, tree)
+                verdicts.append(verdict)
             except ReproError as exc:
                 verdicts.append({"doc": doc_id, "report": None,
                                  "error": str(exc)})
@@ -133,9 +154,13 @@ def stream_chunk(chunk: "list[tuple[str, str, str]]") -> dict:
     raw bytes for the cache key during the same read) or ``"text"``.
     The payload shape matches :func:`validate_chunk`, with one addition:
     each verdict carries its ``"key"`` so the coordinator can fill in
-    keys it chose not to compute up front.
+    keys it chose not to compute up front.  Merge aggregates come from
+    the finished run that produced the verdict (``sv.last_run``).
     """
+    from repro.shard.aggregates import aggregates_of
+
     fingerprint: str = _STATE["fingerprint"]
+    merge = _STATE["merge"]
     obs, span = _chunk_obs(len(chunk))
     sv = _single_pass_validator(obs)
     validate_bytes = getattr(sv, "validate_bytes", None)
@@ -155,9 +180,16 @@ def stream_chunk(chunk: "list[tuple[str, str, str]]") -> dict:
                 else:
                     key = result_key(value, fingerprint)
                     report = sv.validate_text(value)
-                verdicts.append({"doc": doc_id, "key": key,
-                                 "report": report.to_dict(),
-                                 "error": None})
+                verdict = {"doc": doc_id, "key": key, "error": None}
+                if merge:
+                    verdict["aggregates"] = aggregates_of(
+                        sv.last_run.evaluators, merge)
+                # the run outlives the call only to hand over its
+                # aggregates; free it before the report is serialized
+                # so it does not add to the worker's peak memory
+                sv.last_run = None
+                verdict["report"] = report.to_dict()
+                verdicts.append(verdict)
             except ReproError as exc:
                 verdicts.append({"doc": doc_id, "key": key,
                                  "report": None, "error": str(exc)})

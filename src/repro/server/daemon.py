@@ -523,13 +523,14 @@ class ValidationServer:
         ``verdicts_json`` is byte-identical to a serial run) and export
         the merge-class (``L_id``) aggregates the coordinator folds.
 
-        Aggregates need a parsed tree, so documents with merge-class
-        constraints pay one extra parse here; unparseable documents
-        export nothing (their verdict already carries the error)."""
+        Each document is validated once: its aggregates come from the
+        run that produced its verdict (``CorpusValidator.last_aggregates``).
+        A document this node answers from its own result cache has no
+        such run, so it gets one single-pass run for its aggregates;
+        unparseable documents export nothing (their verdict already
+        carries the error)."""
         from repro.corpus import CorpusValidator
-        from repro.shard.aggregates import extract_aggregates
         from repro.shard.locality import Locality, classify_sigma
-        from repro.xmlio.parser import parse_document
 
         handle = self.registry.get(_required(req, "schema"))
         if self.admission_hook is not None:
@@ -555,13 +556,18 @@ class ValidationServer:
         aggregates: "dict[str, dict]" = {}
         if req.get("aggregates", True) \
                 and classify_sigma(handle.dtd)[Locality.MERGE]:
-            for doc_id, text in pairs:
-                try:
-                    tree = parse_document(text, handle.dtd.structure)
-                except ParseError:
-                    continue
-                aggregates[doc_id] = extract_aggregates(handle.dtd,
-                                                        tree)
+            exported = validator.last_aggregates
+            cached = [k for k, v in enumerate(report.verdicts) if v.cached]
+            if cached:
+                # the result cache keeps verdicts, not aggregates: one
+                # single-pass run each recovers them
+                rerun = CorpusValidator(handle, jobs=1, engine="auto")
+                rerun.validate([pairs[k] for k in cached])
+                for k, doc_aggs in zip(cached, rerun.last_aggregates):
+                    exported[k] = doc_aggs
+            for (doc_id, _text), doc_aggs in zip(pairs, exported):
+                if doc_aggs is not None:
+                    aggregates[doc_id] = doc_aggs
         if self.obs:
             self.obs.counter(
                 "serve_documents_validated",

@@ -6,7 +6,12 @@ locally-dangling IDREF candidate sets, inverse pairing rows — produced
 by the evaluator's own
 :meth:`~repro.constraints.evaluators.ConstraintEvaluator.corpus_aggregate`
 hook, so the exported view and the per-document semantics can never
-drift apart.
+drift apart.  :func:`aggregates_of` is that view over any finished set
+of evaluators; a node takes it from the run that produced the
+document's verdict, so every document is validated once.
+:func:`extract_aggregates` builds the same view from a parsed tree:
+the batch engine's export, and the reference the tests compare the
+single-pass engines' exports against.
 
 The coordinator folds the per-document aggregates, in corpus order,
 into *corpus-level* findings: cross-document ID clashes, references
@@ -32,7 +37,8 @@ from repro.dtd.dtdc import DTDC
 from repro.shard.locality import Locality, classify_constraint, \
     classify_sigma
 
-__all__ = ["CorpusViolation", "extract_aggregates", "fold_aggregates"]
+__all__ = ["CorpusViolation", "aggregates_of", "extract_aggregates",
+           "fold_aggregates"]
 
 
 @dataclass
@@ -60,28 +66,43 @@ class CorpusViolation:
                f"({', '.join(self.documents)})"
 
 
-def extract_aggregates(dtd: DTDC, tree: DataTree) -> "dict[str, dict]":
-    """One document's merge aggregates, keyed by Σ position (as str).
+def aggregates_of(evaluators, positions) -> "dict[str, dict]":
+    """The ``{position: aggregate}`` view of one document's finished
+    evaluators, keyed by Σ position (as str).
 
-    Builds the document's :class:`AttributeIndex` once, then asks each
-    merge-class evaluator for its exported view after a ``full()``
-    build.  Constraints whose evaluator exports nothing (e.g. an
-    ``L_id`` constraint over a type with no declared ID attribute —
-    statically violated per document) are simply absent.
+    ``evaluators`` is indexable by Σ position (a run state's list, or a
+    position-keyed dict) and must be finished — built by ``full()`` or
+    fed every vertex through ``add()`` — and ``positions`` are the
+    merge-class positions (:func:`classify_sigma`).  Constraints whose
+    evaluator exports nothing (e.g. an ``L_id`` constraint over a type
+    with no declared ID attribute — statically violated per document)
+    are simply absent.
+    """
+    out: dict[str, dict] = {}
+    for i in positions:
+        aggregate = evaluators[i].corpus_aggregate()
+        if aggregate is not None:
+            out[str(i)] = aggregate
+    return out
+
+
+def extract_aggregates(dtd: DTDC, tree: DataTree) -> "dict[str, dict]":
+    """One parsed document's merge aggregates, keyed by Σ position.
+
+    Builds the document's :class:`AttributeIndex` once and a ``full()``
+    pass of each merge-class evaluator over it, then takes the
+    :func:`aggregates_of` view.
     """
     positions = classify_sigma(dtd)[Locality.MERGE]
     if not positions:
         return {}
     id_map = dtd.structure.id_attribute_map()
     index = AttributeIndex(tree, id_attributes=id_map)
-    out: dict[str, dict] = {}
+    evaluators = {}
     for i in positions:
-        evaluator = evaluator_for(dtd.constraints[i], index, id_map)
-        evaluator.full()
-        aggregate = evaluator.corpus_aggregate()
-        if aggregate is not None:
-            out[str(i)] = aggregate
-    return out
+        evaluators[i] = evaluator_for(dtd.constraints[i], index, id_map)
+        evaluators[i].full()
+    return aggregates_of(evaluators, positions)
 
 
 def fold_aggregates(

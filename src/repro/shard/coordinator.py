@@ -18,7 +18,8 @@ under its own span:
     the real :class:`CorpusValidator` per batch, so per-document
     verdicts keep its exact semantics; they also export per-document
     merge aggregates for every ``L_id`` constraint
-    (:mod:`repro.shard.aggregates`).
+    (:mod:`repro.shard.aggregates`), taken from the same run that
+    produced each verdict, so a node validates every document once.
 
 ``shard.merge``
     Reassemble verdicts into corpus order, write them through the

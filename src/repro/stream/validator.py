@@ -167,6 +167,10 @@ class StreamValidator:
             plan_or_dtd if isinstance(plan_or_dtd, StreamPlan)
             else compile_plan(plan_or_dtd))
         self.obs = obs or NULL_OBS
+        #: the :class:`_Run` of the most recent document, kept until the
+        #: next one: its finished evaluators are what a shard node
+        #: exports as the document's ``L_id`` merge aggregates
+        self.last_run: "_Run | None" = None
 
     def validate(self, source: "str | os.PathLike") -> ValidationReport:
         """Validate a path (:class:`os.PathLike`) or a string that is
@@ -189,9 +193,10 @@ class StreamValidator:
         """
         obs = self.obs
         if not obs.enabled:
-            return _Run(self.plan, NULL_OBS).run(text, keep_whitespace)
+            run = self.last_run = _Run(self.plan, NULL_OBS)
+            return run.run(text, keep_whitespace)
         with obs.span("stream.validate", chars=len(text)) as span:
-            run = _Run(self.plan, obs)
+            run = self.last_run = _Run(self.plan, obs)
             report = run.run(text, keep_whitespace)
             span.set(events=run.n_events, elements=run.next_vid,
                      violations=len(report))

@@ -19,8 +19,9 @@ from repro.corpus import CorpusValidator, ResultCache
 from repro.corpus.validator import resolve_jobs
 from repro.datamodel.indexes import AttributeIndex
 from repro.dtd.validate import ValidationReport
-from repro.errors import ConstraintError, ReproError
+from repro.errors import ConstraintError, ParseError, ReproError
 from repro.obs import Observability
+from repro.server import ValidationServer
 from repro.shard import (
     Locality, LocalNode, ShardedCorpusValidator, SubprocessNode,
     WatchSession, classify_constraint, classify_sigma, extract_aggregates,
@@ -30,6 +31,7 @@ from repro.workloads import (
     federated_corpus, random_corpus, registry_schema,
 )
 from repro.xmlio import parse_document, serialize
+from repro.xmlio import parser as parser_mod
 
 
 @pytest.fixture
@@ -305,6 +307,79 @@ class TestMergeFold:
         dtd, trees = library
         parsed = parse_document(serialize(trees[0]), dtd.structure)
         assert extract_aggregates(dtd, parsed) == {}
+
+
+# -- single-pass nodes ------------------------------------------------------
+
+
+def _serial_fold(dtd, docs):
+    """The corpus findings a serial pass would fold: aggregates
+    extracted from each parsed document ({} for an unparseable one)."""
+    doc_aggs = []
+    for doc_id, text in docs:
+        try:
+            tree = parse_document(text, dtd.structure)
+        except ParseError:
+            doc_aggs.append((doc_id, {}))
+            continue
+        doc_aggs.append((doc_id, extract_aggregates(dtd, tree)))
+    violations, stats = fold_aggregates(dtd, doc_aggs)
+    return [v.to_dict() for v in violations], stats
+
+
+def _forbid_parsing(monkeypatch):
+    def parse_document_forbidden(*_args, **_kwargs):
+        raise AssertionError("a shard node parsed a document a second "
+                             "time")
+
+    monkeypatch.setattr(parser_mod, "parse_document",
+                        parse_document_forbidden)
+
+
+class TestSinglePassNodes:
+    """A node validates each document once: the merge aggregates come
+    from the run behind the verdict, never from a second parse."""
+
+    @pytest.mark.parametrize("engine", ["codegen", "stream"])
+    def test_no_reparse(self, federation, monkeypatch, engine):
+        dtd, trees = federation
+        docs = _pairs(trees, "f") + [
+            ("broken", "<registry><person pid='x'></registry>")]
+        serial = CorpusValidator(dtd, jobs=1).validate(docs)
+        expected = _serial_fold(dtd, docs)
+        _forbid_parsing(monkeypatch)
+        with ShardedCorpusValidator(dtd, shards=2, engine=engine) as sv:
+            report = sv.validate(docs)
+        assert report.verdicts_json() == serial.verdicts_json()
+        assert ([v.to_dict() for v in report.corpus_violations],
+                report.merge_stats) == expected
+        assert report.corpus_violations  # the corpus has findings
+
+    def test_node_cache_hits_still_export(self, federation, monkeypatch):
+        """A node answering from its own warm result cache, driven by a
+        fresh coordinator (no aggregate cache), still exports every
+        document's aggregates."""
+        dtd, trees = federation
+        docs = _pairs(trees, "f")
+        node_cache = ResultCache()
+
+        def cached_node(name):
+            node = LocalNode(name)
+            node.server = ValidationServer(cache=node_cache)
+            return node
+
+        with ShardedCorpusValidator(dtd, shards=2,
+                                    node_factory=cached_node) as warmup:
+            warmup.validate(docs)
+        hits = node_cache.hits
+        _forbid_parsing(monkeypatch)
+        with ShardedCorpusValidator(dtd, shards=2,
+                                    node_factory=cached_node) as sv:
+            assert sv._agg_cache == {}
+            report = sv.validate(docs)
+        assert node_cache.hits - hits == len(docs)
+        assert ([v.to_dict() for v in report.corpus_violations],
+                report.merge_stats) == _serial_fold(dtd, docs)
 
 
 # -- nodes ------------------------------------------------------------------

@@ -10,6 +10,11 @@ serial runs cannot see at all) stay identical across shard layouts,
 including the cross-shard duplicate-ID case that only the merge phase
 can surface.
 
+A second contract: the ``L_id`` merge aggregates a node exports — taken
+from the run that produced each verdict, never from a second parse —
+equal :func:`~repro.shard.aggregates.extract_aggregates` over the
+parsed document, on every engine.
+
 Nodes are in-process (:class:`LocalNode`) — hypothesis runs hundreds of
 corpora, and the subprocess transport is covered by
 ``tests/test_shard.py`` and ``benchmarks/bench_shard.py``.
@@ -19,11 +24,90 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import CorpusValidator
-from repro.shard import ShardedCorpusValidator
+from repro.corpus.cache import schema_fingerprint
+from repro.errors import ParseError
+from repro.shard import LocalNode, ShardedCorpusValidator, \
+    extract_aggregates
 from repro.workloads import federated_corpus, random_corpus
-from repro.xmlio import serialize
+from repro.xmlio import parse_document, serialize
+from repro.xmlio.dtdparse import parse_dtdc, serialize_dtdc
 
 SHARD_COUNTS = (1, 2, 3, 7)
+ENGINES = ("batch", "stream", "codegen")
+
+#: all four merge kinds: two ID constraints, a set-valued foreign key
+#: into IDs, and an ID inverse
+LID_SCHEMA = parse_dtdc("""
+<!ELEMENT net (person*, mention*)>
+<!ELEMENT person EMPTY>
+<!ATTLIST person id ID #REQUIRED knows IDREFS #REQUIRED>
+<!ELEMENT mention EMPTY>
+<!ATTLIST mention id ID #REQUIRED who IDREFS #REQUIRED>
+%% constraints
+person.id ->id person
+mention.id ->id mention
+mention.who subS person.id
+person.knows inv mention.who
+""")
+
+#: ID values shared by both element types (cross-type clashes), one
+#: nobody owns, and a non-ASCII one (codegen's decoded-scanner path)
+_VALUES = ("a", "b", "c", "ghost", "\u00fcber")
+#: every drawn batch also carries these: non-ASCII, structurally
+#: invalid (content model and a missing attribute), malformed
+_FIXED = [
+    ("non-ascii", '<net><person id="\u00fcber" knows="m\u00e9"/>'
+                  '<mention id="m\u00e9" who="\u00fcber"/></net>'),
+    ("invalid", '<net><mention id="m" who="p"/>'
+                '<person id="p" knows="m"/><person knows="m"/></net>'),
+    ("malformed", '<net><person id="p" knows=""></net>'),
+]
+
+
+def _element(label: str, own: str, refs, attr: str) -> str:
+    return f'<{label} id="{own}" {attr}="{" ".join(sorted(refs))}"/>'
+
+
+@st.composite
+def lid_batches(draw):
+    """(doc_id, xml) pairs over :data:`LID_SCHEMA` — ID clashes within
+    and across element types, dangling and inverse-violating
+    references — plus the :data:`_FIXED` documents."""
+    values = st.sampled_from(_VALUES)
+    refs = st.sets(values, max_size=3)
+    docs = []
+    for n in range(draw(st.integers(1, 4))):
+        persons = draw(st.lists(st.tuples(values, refs), max_size=4))
+        mentions = draw(st.lists(st.tuples(values, refs), max_size=4))
+        body = "".join(_element("person", own, knows, "knows")
+                       for own, knows in persons)
+        body += "".join(_element("mention", own, who, "who")
+                        for own, who in mentions)
+        docs.append((f"drawn-{n}", f"<net>{body}</net>"))
+    return docs + _FIXED
+
+
+def _node_export(dtd, docs, engine: str) -> dict:
+    """One ``check-shard`` round trip on an in-process node."""
+    with LocalNode() as node:
+        node.load_schema("s", serialize_dtdc(dtd), dtd.structure.root,
+                         schema_fingerprint(dtd))
+        return node.check_shard("s", docs, engine=engine)
+
+
+def _assert_matches_oracle(dtd, docs) -> None:
+    for engine in ENGINES:
+        response = _node_export(dtd, docs, engine)
+        exported = response["aggregates"]
+        for (doc_id, text), verdict in zip(docs, response["verdicts"]):
+            try:
+                tree = parse_document(text, dtd.structure)
+            except ParseError:
+                assert verdict["error"] is not None, (engine, doc_id)
+                assert doc_id not in exported, (engine, doc_id)
+                continue
+            assert exported[doc_id] == extract_aggregates(dtd, tree), \
+                (engine, doc_id)
 
 seeds = st.integers(0, 2**31 - 1)
 fractions = st.sampled_from((0.0, 0.25, 0.5, 1.0))
@@ -114,3 +198,33 @@ class TestShardedParity:
                        if v.code == "id-clash"]
             assert len(clashes) == 1, shards
             assert "p-0-0" in clashes[0].message
+
+
+class TestNodeAggregatesOracle:
+    """The exported aggregates equal ``extract_aggregates`` over the
+    parsed document, for every engine a node can run."""
+
+    @given(federations())
+    @settings(max_examples=15, deadline=None)
+    def test_federated_corpus(self, instance):
+        dtd, docs = instance
+        _assert_matches_oracle(dtd, docs)
+
+    @given(lid_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_all_four_merge_kinds(self, docs):
+        _assert_matches_oracle(LID_SCHEMA, docs)
+
+    def test_fixed_documents_take_every_path(self):
+        """The fixed documents exercise what their names say: the
+        invalid one yields violations, the malformed one an error
+        verdict with no aggregates, the non-ASCII one exports."""
+        response = _node_export(LID_SCHEMA, _FIXED, "codegen")
+        verdicts = {v["doc"]: v for v in response["verdicts"]}
+        assert verdicts["non-ascii"]["ok"]
+        assert not verdicts["invalid"]["ok"]
+        assert verdicts["invalid"]["error"] is None
+        assert verdicts["malformed"]["error"] is not None
+        assert set(response["aggregates"]) == {"non-ascii", "invalid"}
+        assert set(response["aggregates"]["non-ascii"]) == \
+            {"0", "1", "2", "3"}
