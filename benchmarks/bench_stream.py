@@ -20,7 +20,11 @@ elements close.  The experiment checks the two payoffs of
 from :mod:`repro.codegen` must stay byte-identical to the stream
 interpreter on the same inputs, and its zero-copy bytes scanner must
 clear a >= 5x throughput bar over the interpreter on the Σ-sparse feed
-workload (measured ~20x on the reference machine).
+workload (measured ~20x on the reference machine).  A dense leg runs
+pretty-printed ``random_corpus`` files of 60 and 2000 vertices, where
+every element is Σ-relevant, through ``Validator.check(path,
+engine="codegen")`` (the mmap path) and checks byte-identity with
+batch; it sets no speed bar.
 
 Run styles::
 
@@ -32,6 +36,7 @@ Run styles::
 import gc
 import os
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -158,6 +163,38 @@ def test_e23_codegen_matches_stream_on_corpus():
             text.encode("utf-8")).to_json() == expected
 
 
+def _dense_mismatches(directory: str) -> tuple[int, int]:
+    """Pretty-printed ``random_corpus`` library files of 60 and 2000
+    vertices (half of them with one violation), written to
+    ``directory``: (files, codegen-over-mmap reports differing from
+    batch)."""
+    from repro import Validator
+
+    files = mismatches = 0
+    for n_vertices, n_docs in ((60, 40), (2000, 4)):
+        dtd, docs = random_corpus(n_docs=n_docs, doc_vertices=n_vertices,
+                                  invalid_fraction=0.5, seed=n_vertices)
+        v = Validator(dtd)
+        for k, doc in enumerate(docs):
+            text = serialize(doc)
+            path = os.path.join(directory, f"dense-{n_vertices}-{k}.xml")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            files += 1
+            mismatches += v.check(path, engine="codegen").to_json() \
+                != validate(parse_document(text, dtd.structure),
+                            dtd).to_json()
+    return files, mismatches
+
+
+def test_e23_codegen_dense_files_match_batch(tmp_path):
+    """Acceptance: on constraint-dense files, more Σ-relevant elements
+    than one constraint-feed batch included, the mmap path is
+    byte-identical to batch."""
+    files, mismatches = _dense_mismatches(str(tmp_path))
+    assert files and mismatches == 0
+
+
 def test_e23_codegen_throughput_at_least_5x_stream():
     """Acceptance: on the Σ-sparse feed document the zero-copy codegen
     scan is >= 5x the stream interpreter (best of 3)."""
@@ -276,6 +313,8 @@ def _report(n_docs: int, smoke: bool) -> int:
     speedup = feed_stream / feed_codegen
 
     distinct, total = _interning_delta()
+    with tempfile.TemporaryDirectory() as directory:
+        dense_files, dense_mismatches = _dense_mismatches(directory)
 
     print(f"E19 stream: {n_docs} docs, {os.cpu_count()} core(s)")
     print(f"  batch  jobs=1 {batch * 1e3:8.1f} ms")
@@ -289,8 +328,12 @@ def _report(n_docs: int, smoke: bool) -> int:
     print(f"E23 codegen: 10k-item feed, stream {feed_stream * 1e3:.1f} "
           f"ms vs codegen {feed_codegen * 1e3:.1f} ms "
           f"({speedup:.1f}x)")
+    print(f"E23 dense: {dense_files} library files (60 and 2000 "
+          f"vertices) via mmap, {dense_mismatches} codegen/batch "
+          "mismatch(es)")
 
     ok = (mismatches == 0 and cg_mismatches == 0 and feed_equal
+          and dense_mismatches == 0
           and stream_peak < 0.5 * batch_peak and speedup >= 5.0)
     if not smoke:
         ok = ok and batch / stream >= 1.0
@@ -304,8 +347,9 @@ if __name__ == "__main__":
     cli = argparse.ArgumentParser(
         description="E19: streaming single-pass validation benchmark")
     cli.add_argument("--smoke", action="store_true",
-                     help="CI mode: byte-identity + the peak-memory "
-                     "guard, no throughput threshold")
+                     help="CI mode: byte-identity (sparse feed, corpus "
+                     "and dense files) + the peak-memory guard, no "
+                     "batch/stream throughput threshold")
     cli.add_argument("--docs", type=int, default=100,
                      help="corpus size (default: 100)")
     args = cli.parse_args()

@@ -1,14 +1,15 @@
 """Schema-specialized validator codegen.
 
-Compiles a ``DTD^C`` all the way to Python source — per-label DFA
-transitions inlined as dict literals, constraint bookkeeping specialized
-to the attributes Σ actually watches, Σ-irrelevant element runs consumed
-by single regex matches — ``exec``'d once per schema fingerprint per
-process and cached on disk so server restarts and corpus worker fleets
-compile once per machine.  Reports are byte-identical (``to_json()``)
-to the batch and streaming validators; see
-:mod:`repro.codegen.generate` for the determinism contract and
-:mod:`repro.codegen.cache` for the integrity-checked source cache.
+Compiles a ``DTD^C`` to a Python module of literal tables — per-label
+DFA transitions as dict literals, the attributes Σ actually watches, the
+Σ-irrelevant labels whose runs single regex matches consume — that the
+schema-independent scanner in :mod:`repro.codegen.runtime` runs over.
+The module is ``exec``'d once per schema fingerprint per process and
+cached on disk so server restarts and corpus worker fleets compile once
+per machine.  Reports are byte-identical (``to_json()``) to the batch
+and streaming validators; see :mod:`repro.codegen.generate` for the
+determinism contract and :mod:`repro.codegen.cache` for the
+integrity-checked source cache.
 
 Select it through the unified engine API::
 

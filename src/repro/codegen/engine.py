@@ -8,17 +8,17 @@ document-facing wrapper with the same ``validate``/``validate_text``/
 ``validate_path`` surface as
 :class:`~repro.stream.validator.StreamValidator`, plus the zero-copy
 ``validate_bytes``/``mmap`` file path: pure-ASCII input (checked with
-one C-level scan) is validated directly over the byte buffer without
-decoding; anything else falls back to a full UTF-8 decode so reports —
-including error messages and line numbers — stay byte-identical to the
-streaming interpreter.
+``bytes.isascii()`` over slices of at most :data:`_ASCII_SLICE` bytes)
+is validated directly over the byte buffer without decoding; anything
+else falls back to a full UTF-8 decode so reports — including error
+messages and line numbers — stay byte-identical to the streaming
+interpreter.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-import re
 import threading
 
 from repro.codegen import cache as _disk
@@ -29,9 +29,22 @@ from repro.obs import NULL_OBS
 __all__ = ["CodegenValidator", "CompiledSchema", "compile_schema",
            "load_compiled"]
 
-#: any byte outside ASCII forces the decoded-str scanner (regex \w and
+#: the pre-scan copies an ``mmap`` out in slices of this many bytes; any
+#: byte outside ASCII forces the decoded-str scanner (regex \w and
 #: str.strip() Unicode semantics, and UnicodeDecodeError parity)
-_NON_ASCII_RE = re.compile(rb"[\x80-\xff]")
+_ASCII_SLICE = 1 << 16
+
+
+def _is_ascii(buf) -> bool:
+    """Whether every byte of ``buf`` (``bytes`` or ``mmap``) is ASCII; a
+    map is copied out one bounded slice at a time, never whole."""
+    if type(buf) is bytes:
+        return buf.isascii()
+    for i in range(0, len(buf), _ASCII_SLICE):
+        if not buf[i:i + _ASCII_SLICE].isascii():
+            return False
+    return True
+
 
 #: fingerprint -> exec'd module namespace (one exec per process)
 _MODULES: dict[str, dict] = {}
@@ -154,9 +167,12 @@ class CodegenValidator:
         return report
 
     def validate_bytes(self, data):
-        """Validate raw document bytes; pure-ASCII input never decodes."""
-        if _NON_ASCII_RE.search(data) is not None:
-            return self.validate_text(bytes(data).decode("utf-8"))
+        """Validate raw document bytes (any other buffer is copied to
+        ``bytes`` once); pure-ASCII input never decodes."""
+        if type(data) is not bytes:
+            data = bytes(data)
+        if not _is_ascii(data):
+            return self.validate_text(data.decode("utf-8"))
         obs = self.obs
         rs = self.last_run = RunState(self.compiled.plan, obs)
         if not obs.enabled:
@@ -169,7 +185,8 @@ class CodegenValidator:
     def validate_path(self, path: str):
         """Validate a file via ``mmap`` — the zero-copy path: the kernel
         pages the document in, the scanner skips Σ-irrelevant runs
-        without decoding, and only watched slices become strings."""
+        without decoding, and only start-tag attribute spans and
+        captured text become strings."""
         with open(path, "rb") as fh:
             try:
                 mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -177,7 +194,7 @@ class CodegenValidator:
                 # empty files and exotic filesystems cannot be mapped
                 return self.validate_bytes(fh.read())
             with mm:
-                if _NON_ASCII_RE.search(mm) is not None:
+                if not _is_ascii(mm):
                     return self.validate_text(mm[:].decode("utf-8"))
                 obs = self.obs
                 rs = self.last_run = RunState(self.compiled.plan, obs)

@@ -1,13 +1,18 @@
 """Compile a ``DTD^C`` to Python source.
 
 :func:`generate_source` turns a compiled
-:class:`~repro.stream.plan.StreamPlan` into the text of a standalone
-Python module whose ``bind(plan)`` entry point returns two scanners —
-one over ``str`` buffers, one over ``bytes``/``mmap`` buffers — each a
-single closure that parses, checks structure, and feeds Σ-relevant
-vertices into a :class:`~repro.codegen.runtime.RunState`.
+:class:`~repro.stream.plan.StreamPlan` into the text of a Python module
+made of literal tables plus one import: its ``bind(plan)`` entry point
+hands the tables to :func:`repro.codegen.runtime.scanners`, which
+returns two scanners — one over ``str`` buffers, one over
+``bytes``/``mmap`` buffers — each a single closure that parses, checks
+structure, and feeds Σ-relevant vertices into a
+:class:`~repro.codegen.runtime.RunState`.  The scanner code itself is
+schema-independent and lives in :mod:`repro.codegen.runtime`, so a
+cold start compiles only the tables; :data:`GENERATOR_VERSION` covers
+the tables' format.
 
-What gets specialized into the source (all of it emitted in sorted
+What gets specialized into the tables (all of it emitted in sorted
 order, so the text is a pure function of the schema fingerprint):
 
 - **per-label DFA tables** — every content model is eagerly
@@ -20,13 +25,14 @@ order, so the text is a pure function of the schema fingerprint):
   (constraint field sites plus declared-ID attributes) are materialized
   on retained vertices; every other attribute costs one membership test
   for the undeclared/missing structural checks and is never copied;
-- **Σ-irrelevant run patterns** — labels no constraint watches, with no
-  declared attributes and a text-or-empty content model, are consumed
-  in whole runs by one compiled regex (``<item>…</item><item>…`` …),
-  advancing the parent DFA arithmetically (cycle detection) instead of
-  per-event.  On the bytes scanner this is the zero-copy path: the
+- **Σ-irrelevant run labels** — labels no constraint watches, with no
+  declared attributes and a text-or-empty content model (``SKIP``: the
+  label and whether one text chunk is legal).  The runtime consumes
+  their runs with one compiled regex each (``<item>…</item><item>…``
+  …), advancing the parent DFA arithmetically (cycle detection) instead
+  of per-event.  On the bytes scanner this is the zero-copy path: the
   buffer (usually an ``mmap``) is scanned without decoding, and only
-  watched slices are ever turned into strings.
+  start-tag attribute spans and captured text become strings.
 
 What deliberately is *not* baked into the source: the declared-attribute
 iteration order (``structure.attributes`` returns a frozenset whose
@@ -38,8 +44,6 @@ the host package via :class:`~repro.codegen.runtime.RunState`).
 
 from __future__ import annotations
 
-import re
-
 from repro.constraints.evaluators import evaluator_for
 from repro.errors import ReproError
 from repro.regexlang.automaton import Matcher
@@ -47,9 +51,10 @@ from repro.stream.plan import StreamPlan, _field_sites
 
 __all__ = ["CompileError", "GENERATOR_VERSION", "generate_source"]
 
-#: bumped whenever the emitted source shape changes; part of the on-disk
-#: cache key so stale entries from older generators are never reused
-GENERATOR_VERSION = 1
+#: bumped whenever the emitted source or its tables' format changes; part
+#: of the on-disk cache key so stale entries from older generators are
+#: never reused
+GENERATOR_VERSION = 2
 
 #: eager determinization bound: content models whose DFA exceeds this
 #: are rejected (callers fall back to the lazy streaming interpreter)
@@ -113,12 +118,13 @@ def _watched_attributes(plan: StreamPlan) -> dict[str, list[str]]:
     return {label: sorted(names) for label, names in watched.items()}
 
 
-def _skip_entry(label: str, plan: StreamPlan, trans, acc):
-    """The run-fast-path pattern for ``label``, or None.
+def _skip_entry(label: str, plan: StreamPlan, trans, acc) -> "bool | None":
+    """Whether ``label`` takes the run fast path with one text chunk
+    legal (True) or only empty (False); None when it does not.
 
     Skippable means: no constraint retains vertices of this label, no
     parent captures its text, it declares no attributes, and its content
-    model accepts exactly what the pattern admits — the empty word
+    model accepts exactly what the run pattern admits — the empty word
     (``<L/>``, ``<L></L>``) and, when text is legal, one text chunk
     (``<L>text</L>``).  Elements matched by the pattern can contribute
     nothing to the report beyond a vid and one parent-DFA step, which
@@ -131,16 +137,8 @@ def _skip_entry(label: str, plan: StreamPlan, trans, acc):
     accepting = set(acc)
     if 0 not in accepting:
         return None
-    e = re.escape(label)
     s_next = trans[0].get("S")
-    if s_next is not None and s_next in accepting:
-        unit = f"<{e}>[^<&]*</{e}>|<{e}/>"
-        tokens = (f"<{label}>", f"<{label}/>")
-    else:
-        unit = f"<{e}/>|<{e}></{e}>"
-        tokens = (f"<{label}/>", f"<{label}></{label}>")
-    pattern = f"(?:{unit})(?:\\s*(?:{unit}))*\\s*"
-    return pattern, tokens
+    return s_next is not None and s_next in accepting
 
 
 def generate_source(plan: StreamPlan, fingerprint: str = "") -> str:
@@ -180,7 +178,7 @@ def generate_source(plan: StreamPlan, fingerprint: str = "") -> str:
         cm_lines.append(f"    {label!r}: ({trans_src}, {acc!r}, {exp_src}),")
         skip = _skip_entry(label, plan, trans, acc)
         if skip is not None:
-            skip_lines.append(f"    {label!r}: ({skip[0]!r}, {skip[1]!r}),")
+            skip_lines.append(f"    {label!r}: {skip!r},")
     cm_lines.append("}")
     skip_lines.append("}")
 
@@ -198,10 +196,7 @@ def generate_source(plan: StreamPlan, fingerprint: str = "") -> str:
         'Deterministically derived from one schema; regenerate with\n'
         'repro.codegen.generate_source().\n'
         '"""\n\n'
-        "import re\n\n"
-        "from repro.errors import XMLSyntaxError\n"
-        "from repro.stream.validator import StreamVertex\n"
-        "from repro.xmlio.escape import unescape\n\n"
+        "from repro.codegen.runtime import scanners\n\n"
         f"GENERATOR_VERSION = {GENERATOR_VERSION}\n"
         f"FINGERPRINT = {fingerprint!r}\n"
         f"ROOT = {plan.root!r}\n"
@@ -210,439 +205,11 @@ def generate_source(plan: StreamPlan, fingerprint: str = "") -> str:
         f"WATCHED = {watched_src}\n",
         f"WANTS = {wants_src}\n",
         "\n".join(skip_lines) + "\n",
-        _RUNTIME,
+        "\n\n"
+        "def bind(plan):\n"
+        '    """Build the (str scanner, bytes scanner) pair over the live '
+        'plan."""\n'
+        "    return scanners(plan, ROOT, RELEVANT, CM, WATCHED, WANTS, "
+        "SKIP)\n",
     ]
     return "".join(parts)
-
-
-# The fixed half of every generated module.  It reads the literals above
-# it through ``_tables`` (which also folds in runtime plan data whose
-# iteration order must match the live process — see the module
-# docstring) and builds one scanner closure per buffer mode.
-_RUNTIME = r'''
-_EMPTY_FS = frozenset()
-
-# rec tuple layout (one per declared label, per mode)
-# 0 slabel  1 trans  2 accepting  3 expected  4 declared (mode, str) pairs
-# 5 declared set  6 set-valued set  7 watched {mode: str}  8 relevant
-# 9 wants  10 skip regex  11 skip count tokens  12 own symbol
-
-
-def _tables(plan, as_bytes):
-    if as_bytes:
-        def M(s):
-            return s.encode("ascii")
-
-        def dec(s):
-            return s.decode()
-
-        def R(p):
-            return re.compile(p.encode("ascii"))
-    else:
-        def M(s):
-            return s
-
-        def dec(s):
-            return s
-        R = re.compile
-    labels = {}
-    for slabel in CM:
-        trans, acc, exp = CM[slabel]
-        lp = plan.labels[slabel]
-        skip = SKIP.get(slabel)
-        labels[M(slabel)] = (
-            slabel,
-            {st: {M(sym): nx for sym, nx in row.items()}
-             for st, row in trans.items()},
-            frozenset(acc),
-            exp,
-            tuple((M(a), a) for a in lp.declared_attrs),
-            frozenset(M(a) for a in lp.declared_attrs),
-            frozenset(M(a) for a in lp.set_valued),
-            {M(a): a for a in WATCHED.get(slabel, ())},
-            slabel in RELEVANT,
-            frozenset(WANTS.get(slabel, ())),
-            R(skip[0]) if skip is not None else None,
-            tuple(M(t) for t in skip[1]) if skip is not None else (),
-            M(slabel),
-        )
-    return {
-        "labels": labels,
-        "relevant": frozenset(M(s) for s in RELEVANT),
-        "dec": dec,
-        "lt": M("<"), "amp": M("&"), "nl": M("\n"),
-        "gt": M(">"), "sym_s": M("S"),
-        "start_re": R(r"<([A-Za-z_:][\w:.\-]*)"),
-        "attr_re": R(r"\s+([A-Za-z_:][\w:.\-]*)\s*=\s*(\"[^\"]*\"|'[^']*')"),
-        "tagend_re": R(r"\s*(/>|>)"),
-        "name_re": R(r"[A-Za-z_:][\w:.\-]*"),
-        "wsgt_re": R(r"\s*>"),
-        "doct_re": R(r"[\[\]>]"),
-        "comment_open": M("<!--"), "comment_close": M("-->"),
-        "cdata_open": M("<![CDATA["), "cdata_close": M("]]>"),
-        "pi_open": M("<?"), "pi_close": M("?>"),
-        "doctype_open": M("<!DOCTYPE"), "end_open": M("</"),
-        "lbrack": M("["), "rbrack": M("]"),
-    }
-
-
-def _make_scanner(T):
-    LABELS = T["labels"]
-    REL = T["relevant"]
-    dec = T["dec"]
-    LT = T["lt"]
-    AMP = T["amp"]
-    NL = T["nl"]
-    GT = T["gt"]
-    SYM_S = T["sym_s"]
-    START_RE = T["start_re"]
-    ATTR_RE = T["attr_re"]
-    TAGEND_RE = T["tagend_re"]
-    NAME_RE = T["name_re"]
-    WSGT_RE = T["wsgt_re"]
-    DOCT_RE = T["doct_re"]
-    COMMENT_OPEN = T["comment_open"]
-    COMMENT_CLOSE = T["comment_close"]
-    CDATA_OPEN = T["cdata_open"]
-    CDATA_CLOSE = T["cdata_close"]
-    PI_OPEN = T["pi_open"]
-    PI_CLOSE = T["pi_close"]
-    DOCTYPE_OPEN = T["doctype_open"]
-    END_OPEN = T["end_open"]
-    LBRACK = T["lbrack"]
-    RBRACK = T["rbrack"]
-
-    def scan(buf, rs):
-        n = len(buf)
-        pos = 0
-        find = buf.find
-        structural = rs.structural
-        region = rs.region
-        flush_region = rs.flush_region
-        stack = []
-        # frame layout: 0 mode label  1 str label  2 vid  3 trans
-        # 4 state  5 viable  6 dead state  7 vertex  8 wants  9 texts
-        # 10 rec
-        pending = []
-        next_vid = 0
-        n_skipped = 0
-        root_seen = False
-        open_relevant = 0
-
-        def line_at(p):
-            # error paths only: mmap has no .count, so copy there
-            try:
-                return buf.count(NL, 0, p) + 1
-            except (AttributeError, TypeError):
-                return bytes(buf[:p]).count(b"\n") + 1
-
-        def cook(raw, p):
-            # unescape with the error line computed lazily — the happy
-            # path never pays a line count
-            try:
-                return unescape(dec(raw), 1)
-            except XMLSyntaxError:
-                unescape(dec(raw), line_at(p))
-                raise
-
-        def flush():
-            for chunk, cpos, cooked in pending:
-                s = chunk if cooked is None else cooked
-                if not stack:
-                    if s.strip():
-                        raise XMLSyntaxError(
-                            "character data outside the root element",
-                            line=line_at(cpos))
-                    continue
-                if s.strip():
-                    top = stack[-1]
-                    state = top[4]
-                    if state is not None:
-                        nxt = top[3][state].get(SYM_S)
-                        if nxt is None:
-                            top[6] = state
-                            top[4] = None
-                        else:
-                            top[4] = nxt
-                            top[5] += 1
-                    if top[9] is not None:
-                        top[9].append(dec(chunk) if cooked is None
-                                      else cooked)
-            del pending[:]
-
-        def close(frame):
-            nonlocal open_relevant
-            rec = frame[10]
-            if rec is not None:
-                state = frame[4]
-                if state is None or state not in rec[2]:
-                    expected = rec[3][frame[6] if state is None else state]
-                    structural.append((
-                        (frame[2], 0), "content-model",
-                        f"children of {frame[1]!r} do not match its "
-                        f"content model (stuck after {frame[5]} "
-                        f"child(ren); expected one of {expected})",
-                        (frame[2],)))
-            texts = frame[9]
-            if texts is not None:
-                psv = stack[-1][7]
-                if psv is not None:
-                    psv._add_elem_child(frame[1], "".join(texts))
-            sv = frame[7]
-            if sv is not None:
-                region.append(sv)
-                open_relevant -= 1
-                if not open_relevant:
-                    flush_region()
-
-        while pos < n:
-            i = find(LT, pos)
-            if i != pos:
-                end = n if i < 0 else i
-                chunk = buf[pos:end]
-                cooked = cook(chunk, pos) if AMP in chunk else None
-                pending.append((chunk, pos, cooked))
-                if i < 0:
-                    pos = n
-                    break
-                pos = i
-                continue
-            m = START_RE.match(buf, pos)
-            if m is not None:
-                label = m.group(1)
-                rec = LABELS.get(label)
-                if stack and rec is not None and rec[10] is not None:
-                    # a run of Σ-irrelevant leaves: consume it whole
-                    sm = rec[10].match(buf, pos)
-                    if sm is not None:
-                        if pending:
-                            flush()
-                        chunk = sm.group(0)
-                        cnt = 0
-                        for tok in rec[11]:
-                            cnt += chunk.count(tok)
-                        parent = stack[-1]
-                        state = parent[4]
-                        if state is not None:
-                            trans = parent[3]
-                            sym = rec[12]
-                            seen = {}
-                            k = 0
-                            while k < cnt:
-                                at = seen.get(state)
-                                if at is not None:
-                                    # periodic: remaining steps all live
-                                    rem = (cnt - k) % (k - at)
-                                    for _ in range(rem):
-                                        state = trans[state][sym]
-                                    k = cnt
-                                    break
-                                seen[state] = k
-                                nxt = trans[state].get(sym)
-                                if nxt is None:
-                                    parent[6] = state
-                                    state = None
-                                    break
-                                state = nxt
-                                k += 1
-                            if state is None:
-                                parent[4] = None
-                                parent[5] += k
-                            else:
-                                parent[4] = state
-                                parent[5] += cnt
-                        next_vid += cnt
-                        n_skipped += cnt
-                        pos = sm.end()
-                        continue
-                slabel = rec[0] if rec is not None else dec(label)
-                j = m.end()
-                amap = {}
-                while True:
-                    am = ATTR_RE.match(buf, j)
-                    if am is None:
-                        break
-                    raw = am.group(2)[1:-1]
-                    amap[am.group(1)] = (
-                        raw, cook(raw, pos) if AMP in raw else None)
-                    j = am.end()
-                tm = TAGEND_RE.match(buf, j)
-                if tm is None:
-                    raise XMLSyntaxError(
-                        f"malformed start tag <{slabel}",
-                        line=line_at(pos))
-                if pending:
-                    flush()
-                if not root_seen:
-                    root_seen = True
-                    if slabel != ROOT:
-                        structural.append((
-                            (0, -1), "root",
-                            f"root is {slabel!r}, expected {ROOT!r}",
-                            (0,)))
-                elif not stack:
-                    raise XMLSyntaxError(
-                        f"second root element {slabel!r}",
-                        line=line_at(pos))
-                vid = next_vid
-                next_vid = vid + 1
-                parent = stack[-1] if stack else None
-                if parent is not None:
-                    state = parent[4]
-                    if state is not None:
-                        nxt = parent[3][state].get(label)
-                        if nxt is None:
-                            parent[6] = state
-                            parent[4] = None
-                        else:
-                            parent[4] = nxt
-                            parent[5] += 1
-                if rec is None:
-                    structural.append((
-                        (vid, 0), "element",
-                        f"undeclared element type {slabel!r}", (vid,)))
-                else:
-                    declset = rec[5]
-                    for mname in amap:
-                        if mname not in declset:
-                            structural.append((
-                                (vid, 1), "attribute",
-                                f"undeclared attribute "
-                                f"{slabel}.{dec(mname)}", (vid,)))
-                    # (the batch/stream single-valued multiplicity check
-                    # cannot fire on parsed input: a parsed attribute
-                    # always carries exactly one value)
-                    for mname, sname in rec[4]:
-                        if mname not in amap:
-                            structural.append((
-                                (vid, 1), "attribute",
-                                f"missing attribute {slabel}.{sname}",
-                                (vid,)))
-                sv = None
-                wants = _EMPTY_FS
-                if rec[8] if rec is not None else label in REL:
-                    if rec is None:
-                        attrs = {
-                            dec(nm): frozenset(
-                                (dec(rw) if ck is None else ck,))
-                            for nm, (rw, ck) in amap.items()}
-                    else:
-                        watched = rec[7]
-                        setv = rec[6]
-                        attrs = {}
-                        for nm, (rw, ck) in amap.items():
-                            sname = watched.get(nm)
-                            if sname is not None:
-                                val = dec(rw) if ck is None else ck
-                                attrs[sname] = (
-                                    frozenset(val.split())
-                                    if nm in setv
-                                    else frozenset((val,)))
-                        wants = rec[9]
-                    sv = StreamVertex(vid, slabel, attrs)
-                    open_relevant += 1
-                texts = ([] if parent is not None and parent[8]
-                         and slabel in parent[8] else None)
-                frame = [label, slabel, vid,
-                         rec[1] if rec is not None else None,
-                         0 if rec is not None else None,
-                         0, -1, sv, wants, texts, rec]
-                if tm.group(1) == GT:
-                    stack.append(frame)
-                else:
-                    close(frame)
-                pos = tm.end()
-                continue
-            if buf[pos:pos + 4] == COMMENT_OPEN:
-                e = find(COMMENT_CLOSE, pos + 4)
-                if e < 0:
-                    raise XMLSyntaxError("unterminated comment",
-                                         line=line_at(pos))
-                pos = e + 3
-                continue
-            if buf[pos:pos + 9] == CDATA_OPEN:
-                e = find(CDATA_CLOSE, pos + 9)
-                if e < 0:
-                    raise XMLSyntaxError("unterminated CDATA section",
-                                         line=line_at(pos))
-                # CDATA is a text chunk, never unescaped
-                pending.append((buf[pos + 9:e], pos, None))
-                pos = e + 3
-                continue
-            if buf[pos:pos + 2] == PI_OPEN:
-                e = find(PI_CLOSE, pos + 2)
-                if e < 0:
-                    raise XMLSyntaxError(
-                        "unterminated processing instruction",
-                        line=line_at(pos))
-                pos = e + 2
-                continue
-            if buf[pos:pos + 9] == DOCTYPE_OPEN:
-                depth = 0
-                in_bracket = False
-                j = pos
-                while True:
-                    dm = DOCT_RE.search(buf, j)
-                    if dm is None:
-                        raise XMLSyntaxError(
-                            "unterminated DOCTYPE declaration",
-                            line=line_at(pos))
-                    ch = dm.group(0)
-                    j = dm.end()
-                    if ch == LBRACK:
-                        in_bracket = True
-                        depth += 1
-                    elif ch == RBRACK:
-                        depth -= 1
-                        if depth == 0:
-                            in_bracket = False
-                    elif not in_bracket:
-                        pos = j
-                        break
-                continue
-            if buf[pos:pos + 2] == END_OPEN:
-                em = NAME_RE.match(buf, pos + 2)
-                if em is None:
-                    raise XMLSyntaxError("malformed end tag",
-                                         line=line_at(pos))
-                elabel = em.group(0)
-                wm = WSGT_RE.match(buf, em.end())
-                if wm is None:
-                    raise XMLSyntaxError(
-                        f"malformed end tag </{dec(elabel)}",
-                        line=line_at(pos))
-                if pending:
-                    flush()
-                if not stack:
-                    raise XMLSyntaxError(
-                        f"unexpected end tag </{dec(elabel)}>",
-                        line=line_at(pos))
-                top = stack.pop()
-                if top[0] != elabel:
-                    raise XMLSyntaxError(
-                        f"end tag </{dec(elabel)}> does not match open "
-                        f"element <{top[1]}>", line=line_at(pos))
-                close(top)
-                pos = wm.end()
-                continue
-            raise XMLSyntaxError("malformed start tag", line=line_at(pos))
-
-        if pending:
-            flush()
-        if not root_seen:
-            raise XMLSyntaxError("document has no root element")
-        if stack:
-            raise XMLSyntaxError(
-                f"unclosed element <{stack[-1][1]}> at end of input")
-        rs.next_vid = next_vid
-        rs.n_skipped = n_skipped
-        return rs.finish()
-
-    return scan
-
-
-def bind(plan):
-    """Build the (str scanner, bytes scanner) pair over the live plan."""
-    return (_make_scanner(_tables(plan, False)),
-            _make_scanner(_tables(plan, True)))
-'''

@@ -25,6 +25,7 @@ tests replay random edit scripts to assert exactly this).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Set as AbstractSet
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.constraints.base import Constraint, Field
@@ -212,7 +213,7 @@ class ConstraintEvaluator:
     def refresh(self, v: Vertex) -> None:
         """An attached vertex's attributes or child text changed."""
 
-    def id_values_changed(self, values: set[str]) -> None:
+    def id_values_changed(self, values: AbstractSet[str]) -> None:
         """Declared-ID values changed ownership somewhere in the tree."""
 
     def apply_delta(self, delta: Delta) -> None:
@@ -257,15 +258,25 @@ class ConstraintEvaluator:
         return None
 
 
-def _row_of(v: Vertex, fields: tuple[Field, ...]) -> tuple[str, ...] | None:
-    """The value row of ``v`` along ``fields``; None unless all single."""
-    row: list[str] = []
-    for f in fields:
-        value = f.single_on(v)
-        if value is None:
-            return None
-        row.append(value)
-    return tuple(row)
+def _row_reader(fields: tuple[Field, ...]
+                ) -> Callable[[Vertex], tuple[str, ...] | None]:
+    """``v -> row``: the value row of ``v`` along ``fields``; None unless
+    every field holds a single value.  Built once per evaluator: an
+    attribute field is one ``attr_or_empty`` call per vertex, a
+    sub-element field one :meth:`Field.values_on` call."""
+    sites = tuple((f.name, f.values_on if f.is_element else None)
+                  for f in fields)
+
+    def row_of(v: Vertex) -> tuple[str, ...] | None:
+        row: tuple[str, ...] = ()
+        for name, sub in sites:
+            values = v.attr_or_empty(name) if sub is None else sub(v)
+            if len(values) != 1:
+                return None
+            row += tuple(values)
+        return row
+
+    return row_of
 
 
 class KeyEvaluator(ConstraintEvaluator):
@@ -280,6 +291,7 @@ class KeyEvaluator(ConstraintEvaluator):
         super().__init__(constraint, index, id_map)
         self.element: str = constraint.element
         self.fields = fields
+        self._row_of = _row_reader(fields)
         self.labels = frozenset((self.element,))
         self.rows: dict[int, tuple[str, ...] | None] = {}
         self.groups: dict[tuple[str, ...], dict[int, Vertex]] = {}
@@ -296,7 +308,7 @@ class KeyEvaluator(ConstraintEvaluator):
             self.c_visited.add(len(ext))
 
     def add(self, v: Vertex) -> None:
-        row = _row_of(v, self.fields)
+        row = self._row_of(v)
         self.rows[v.vid] = row
         if row is None:
             return
@@ -324,7 +336,7 @@ class KeyEvaluator(ConstraintEvaluator):
         if v.vid not in self.rows:
             self.add(v)
             return
-        if _row_of(v, self.fields) == self.rows[v.vid]:
+        if self._row_of(v) == self.rows[v.vid]:
             return
         self.remove(v)
         self.add(v)
@@ -347,6 +359,8 @@ class ForeignKeyEvaluator(ConstraintEvaluator):
         self.fields = constraint.fields
         self.target = constraint.target
         self.target_fields = constraint.target_fields
+        self._src_row = _row_reader(self.fields)
+        self._target_row = _row_reader(self.target_fields)
         self.labels = frozenset((self.element, self.target))
         self.src_rows: dict[int, tuple[str, ...] | None] = {}
         self.src_by_row: dict[tuple[str, ...], dict[int, Vertex]] = {}
@@ -384,18 +398,18 @@ class ForeignKeyEvaluator(ConstraintEvaluator):
         if v.label == self.target:
             if v.vid not in self.target_rows:
                 self._add_target(v)
-            elif _row_of(v, self.target_fields) != self.target_rows[v.vid]:
+            elif self._target_row(v) != self.target_rows[v.vid]:
                 self._remove_target(v)
                 self._add_target(v)
         if v.label == self.element:
             if v.vid not in self.src_rows:
                 self._add_source(v)
-            elif _row_of(v, self.fields) != self.src_rows[v.vid]:
+            elif self._src_row(v) != self.src_rows[v.vid]:
                 self._remove_source(v)
                 self._add_source(v)
 
     def _add_target(self, v: Vertex) -> None:
-        row = _row_of(v, self.target_fields)
+        row = self._target_row(v)
         self.target_rows[v.vid] = row
         if row is None:
             return
@@ -418,7 +432,7 @@ class ForeignKeyEvaluator(ConstraintEvaluator):
                 self.dangling[vid] = sv
 
     def _add_source(self, v: Vertex) -> None:
-        row = _row_of(v, self.fields)
+        row = self._src_row(v)
         self.src_rows[v.vid] = row
         if row is None:
             self.incomplete[v.vid] = v
@@ -504,7 +518,8 @@ class ValueForeignKeyEvaluator(ConstraintEvaluator):
     def add(self, v: Vertex) -> None:
         if v.label == self.target:
             _values, appeared = self.targets.add(v)
-            self._cover(appeared)
+            if appeared:
+                self._cover(appeared)
         if v.label == self.element:
             self._add_source(v)
 
@@ -858,7 +873,7 @@ class IDConstraintEvaluator(ConstraintEvaluator):
         self.remove(v)
         self.add(v)
 
-    def id_values_changed(self, values: set[str]) -> None:
+    def id_values_changed(self, values: AbstractSet[str]) -> None:
         for value in values:
             self._recheck_value(value)
 

@@ -119,15 +119,17 @@ class StreamIndex:
         self._ext: dict[str, dict[int, StreamVertex]] = {}
         self._id_owners: dict[str, dict[int, StreamVertex]] = {}
 
-    def index_vertex(self, v: StreamVertex) -> set[str]:
+    def index_vertex(self, v: StreamVertex) -> frozenset[str]:
+        """Index ``v``; returns its declared-ID values (the vertex's own
+        frozenset, never a copy)."""
         self._ext.setdefault(v.label, {})[v.vid] = v
         id_attr = self.id_attributes.get(v.label)
         if id_attr is None:
-            return set()
+            return _EMPTY
         values = v.attr_or_empty(id_attr)
         for value in values:
             self._id_owners.setdefault(value, {})[v.vid] = v
-        return set(values)
+        return values
 
     def extension(self, label: str) -> list[StreamVertex]:
         return list(self._ext.get(label, {}).values())
