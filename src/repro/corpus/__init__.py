@@ -11,8 +11,8 @@ package supplies the pieces:
   bit-identically), with Σ parsed once per worker;
 - :class:`ResultCache` — a content-addressed report cache (SHA-256 of
   serialized document + schema fingerprint), in-memory LRU with an
-  optional on-disk JSON store, so re-validating an unchanged corpus is
-  O(hash);
+  optional on-disk append-only log, so re-validating an unchanged
+  corpus is O(hash);
 - :class:`CorpusReport` / :class:`DocumentVerdict` — per-document
   verdicts in corpus order, violation totals by code, per-phase wall
   clock, and the merged per-worker observability export.

@@ -14,8 +14,19 @@ in its :meth:`to_dict` form — loss-free for codes, messages,
 constraints and vertex ids.
 
 :class:`ResultCache` layers an in-memory LRU over an optional on-disk
-JSON store (one file per key, sharded on the first two hex characters),
-so warm re-runs survive process restarts when a directory is given.
+store, so warm re-runs survive process restarts when a directory is
+given.  The store is one append-only log per directory
+(``DIR/results.log``), one record per line:
+
+- ``P <key> <crc32> <json>`` — a put: the report's JSON, with a CRC-32
+  (8 hex digits) over the key and the JSON;
+- ``T <key>`` — a disk hit, which makes the key the most recently used.
+
+Every record is written between newlines with a single ``write()`` on a
+descriptor opened with ``O_APPEND`` for that record, so writers in
+several processes append whole records one after another (on a local
+file system), and a record torn by a crash ends at the next record's
+leading newline instead of swallowing it.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import zlib
 from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Union
@@ -32,6 +45,11 @@ from repro.dtd.validate import ValidationReport
 
 __all__ = ["ResultCache", "result_key", "result_key_bytes",
            "result_key_hasher", "schema_fingerprint"]
+
+_LOG = "results.log"
+_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+# a complete put record; group 1 is its key
+_PUT = re.compile(rb"^P (\S+) [^\n]*\n", re.M)
 
 
 def schema_fingerprint(dtd: DTDC) -> str:
@@ -73,15 +91,36 @@ def result_key(xml_text: str, fingerprint: str) -> str:
     return result_key_bytes(xml_text.encode("utf-8"), fingerprint)
 
 
+def _crc(key: bytes, body: bytes) -> bytes:
+    return b"%08x" % zlib.crc32(body, zlib.crc32(key))
+
+
+def _checked(line: bytes) -> "Optional[tuple[bytes, bytes]]":
+    """``(key, json)`` of a put record whose CRC holds, else None."""
+    parts = line.split(b" ", 3)
+    if len(parts) != 4 or parts[0] != b"P" \
+            or parts[2] != _crc(parts[1], parts[3]):
+        return None
+    return parts[1], parts[3]
+
+
 class ResultCache:
     """In-memory LRU of validation reports, optionally disk-backed.
 
-    ``capacity`` bounds the in-memory entry count; the disk store (when
-    ``directory`` is given) is written through on every :meth:`put` and
-    bounded by ``max_bytes`` when given: after a put pushes the store
-    past the budget, least-recently-*used* entries (by file mtime —
-    every hit re-stamps it, making mtime an atime that works on
-    ``noatime`` mounts) are evicted until the store fits again.
+    ``capacity`` bounds the in-memory entry count.  With a
+    ``directory``, every :meth:`put` appends one record to the
+    directory's log, and a :meth:`get` that misses the LRU looks the key
+    up in an index of the log: the instance indexes only the bytes
+    appended since it last looked (by any process), and starts over
+    when the log was replaced or shrank.  The index holds each key's
+    hash and the offset and length of its last put record; the record
+    read back must carry the same key, a matching CRC, JSON and a
+    rebuildable report, otherwise the lookup is a miss.  A key that
+    contains whitespace is never answered from disk (every
+    :func:`result_key` is a hex digest).
+
+    ``max_bytes`` bounds the log: a put that leaves it larger runs
+    :meth:`prune`, which keeps the most recently used entries that fit.
     ``max_bytes=None`` keeps the historical unbounded behavior.
     ``get`` returns a *fresh* report object per call — cached state is
     never shared mutably with callers.
@@ -103,17 +142,16 @@ class ResultCache:
         self.misses = 0
         self.disk_hits = 0
         self.disk_evictions = 0
-        # running estimate of the disk footprint, resynced by every
-        # prune(); lets put() skip the directory scan while under budget
-        self._disk_bytes_estimate: Optional[int] = None
+        self._log = os.path.join(directory, _LOG) \
+            if directory is not None else None
+        # hash(key) -> offset << 32 | length of the key's last put
+        # record, over the first _indexed bytes of log inode _inode
+        self._index: dict[int, int] = {}
+        self._inode: Optional[int] = None
+        self._indexed = 0
 
     def __len__(self) -> int:
         return len(self._lru)
-
-    def _disk_path(self, key: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
-        return self.directory / key[:2] / f"{key[2:]}.json"
 
     def get(self, key: str) -> Optional[ValidationReport]:
         """The cached report for ``key``, or None on a miss."""
@@ -122,21 +160,17 @@ class ResultCache:
             self._lru.move_to_end(key)
             self.hits += 1
             return ValidationReport.from_dict(payload)
-        path = self._disk_path(key)
-        if path is not None and path.is_file():
+        found = self._read(key) if self._log is not None else None
+        if found is not None:
+            payload, report = found
+            self._remember(key, payload)
+            self.hits += 1
+            self.disk_hits += 1
             try:
-                payload = json.loads(path.read_text())["report"]
-            except (OSError, ValueError, KeyError):
-                payload = None  # corrupt entry: treat as a miss
-            if payload is not None:
-                try:
-                    os.utime(path)  # re-stamp: mtime is the LRU clock
-                except OSError:
-                    pass
-                self._remember(key, payload)
-                self.hits += 1
-                self.disk_hits += 1
-                return ValidationReport.from_dict(payload)
+                self._append(b"T " + key.encode())
+            except OSError:
+                pass  # a read-only store still answers
+            return report
         self.misses += 1
         return None
 
@@ -144,68 +178,124 @@ class ResultCache:
         """Store ``report`` under ``key`` (write-through to disk)."""
         payload = report.to_dict()
         self._remember(key, payload)
-        path = self._disk_path(key)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps({"key": key, "report": payload},
-                                      sort_keys=True))
-            os.replace(tmp, path)
-            if self.max_bytes is not None:
-                if self._disk_bytes_estimate is None:
-                    self._disk_bytes_estimate = self.disk_bytes()
-                else:
-                    self._disk_bytes_estimate += path.stat().st_size
-                if self._disk_bytes_estimate > self.max_bytes:
-                    self.prune()
+        if self._log is not None:
+            kb = key.encode()
+            body = json.dumps(payload, sort_keys=True,
+                              separators=(",", ":")).encode()
+            end = self._append(b"P %s %s %s" % (kb, _crc(kb, body), body))
+            if self.max_bytes is not None and end > self.max_bytes:
+                self.prune()
 
-    def _disk_entries(self) -> "list[tuple[float, int, Path]]":
-        """Every disk entry as ``(mtime, size, path)``.  Races with
-        concurrent evictors are benign: a vanished file is skipped."""
-        entries: list[tuple[float, int, Path]] = []
-        if self.directory is None or not self.directory.is_dir():
-            return entries
-        for path in self.directory.glob("??/*.json"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            entries.append((st.st_mtime, st.st_size, path))
-        return entries
+    def _append(self, record: bytes) -> int:
+        """Append ``record`` between newlines with one ``write()``;
+        returns the log's size just after it."""
+        try:
+            fd = os.open(self._log, _APPEND, 0o666)
+        except FileNotFoundError:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self._log, _APPEND, 0o666)
+        try:
+            os.write(fd, b"\n" + record + b"\n")
+            return os.lseek(fd, 0, os.SEEK_CUR)
+        finally:
+            os.close(fd)
+
+    def _read(self, key: str) -> "Optional[tuple[dict, ValidationReport]]":
+        """``(payload, report)`` of ``key``'s last put in the log."""
+        kb = key.encode()
+        try:
+            fd = os.open(self._log, os.O_RDONLY)
+        except OSError:
+            self._inode = None  # a later log starts a new index
+            return None
+        try:
+            st = os.fstat(fd)
+            if st.st_ino != self._inode or st.st_size < self._indexed:
+                self._index.clear()
+                self._inode, self._indexed = st.st_ino, 0
+            if st.st_size > self._indexed:
+                self._scan(os.pread(fd, st.st_size - self._indexed,
+                                    self._indexed))
+            where = self._index.get(hash(kb))
+            if where is None:
+                return None
+            line = os.pread(fd, where & 0xFFFFFFFF, where >> 32)
+        except OSError:
+            return None
+        finally:
+            os.close(fd)
+        checked = _checked(line)
+        if checked is None or checked[0] != kb:
+            return None
+        try:
+            payload = json.loads(checked[1])
+            return payload, ValidationReport.from_dict(payload)
+        except (ValueError, TypeError, KeyError, AttributeError):
+            return None
+
+    def _scan(self, data: bytes) -> None:
+        """Index the put records in ``data``, the log's bytes from
+        offset ``_indexed`` on.  A last line without its newline may
+        still be being written: it waits for the next scan."""
+        end = data.rfind(b"\n") + 1
+        base, index = self._indexed, self._index
+        for m in _PUT.finditer(data, 0, end):
+            index[hash(m.group(1))] = \
+                (base + m.start()) << 32 | (m.end() - 1 - m.start())
+        self._indexed = base + end
 
     def disk_bytes(self) -> int:
-        """Current on-disk footprint of the store, in bytes."""
-        return sum(size for _mtime, size, _path in self._disk_entries())
+        """Current on-disk footprint of the store: the log's size."""
+        try:
+            return os.stat(self._log or "").st_size
+        except FileNotFoundError:
+            return 0
 
     def prune(self, max_bytes: Optional[int] = None) -> "dict[str, int]":
-        """Evict least-recently-used disk entries until the store fits
+        """Rewrite the log with the most recently used entries that fit
         ``max_bytes`` (default: the cache's own budget; ``0`` empties
         the store).  Returns ``{"evicted": n, "freed_bytes": b,
         "kept": n, "kept_bytes": b}``.
 
-        Safe against concurrent readers: eviction is a plain unlink of
-        a complete JSON file (writers go through tmp+rename), so a
-        reader either sees a full entry or a miss, never a torn one.
+        A key's most recent use is the last record that names it.  The
+        new log is written to a temporary file and renamed over the old
+        one, so a concurrent reader sees one log or the other; a record
+        another process appends while the prune runs may be lost, which
+        is a later miss.
         """
         budget = self.max_bytes if max_bytes is None else max_bytes
-        entries = sorted(self._disk_entries())
-        total = sum(size for _mtime, size, _path in entries)
-        evicted = freed = 0
-        if budget is not None:
-            for mtime, size, path in entries:
-                if total <= budget:
-                    break
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                total -= size
-                freed += size
-                evicted += 1
-                self.disk_evictions += 1
-        self._disk_bytes_estimate = total
-        return {"evicted": evicted, "freed_bytes": freed,
-                "kept": len(entries) - evicted, "kept_bytes": total}
+        try:
+            with open(self._log or "", "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:  # no directory, or nothing put yet
+            return {"evicted": 0, "freed_bytes": 0,
+                    "kept": 0, "kept_bytes": 0}
+        last: dict[bytes, bytes] = {}  # key -> put record, by last use
+        for line in data.split(b"\n"):
+            if line[:2] == b"T ":
+                if line[2:] in last:
+                    last[line[2:]] = last.pop(line[2:])
+            else:
+                checked = _checked(line)
+                if checked is not None:
+                    last.pop(checked[0], None)
+                    last[checked[0]] = line
+        kept: list[bytes] = []
+        size = 0
+        for line in reversed(last.values()):
+            if budget is not None and size + len(line) + 2 > budget:
+                break
+            kept.append(line)
+            size += len(line) + 2
+        tmp = f"{self._log}.{os.getpid()}.tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(b"\n" + line + b"\n"
+                              for line in reversed(kept)))
+        os.replace(tmp, self._log)
+        evicted = len(last) - len(kept)
+        self.disk_evictions += evicted
+        return {"evicted": evicted, "freed_bytes": len(data) - size,
+                "kept": len(kept), "kept_bytes": size}
 
     def _remember(self, key: str, payload: dict) -> None:
         self._lru[key] = payload

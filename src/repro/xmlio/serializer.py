@@ -19,7 +19,7 @@ def serialize(tree: DataTree, indent: int | None = 2,
     parts: list[str] = []
     if xml_declaration:
         parts.append('<?xml version="1.0"?>\n')
-    _emit(tree.root, parts, 0, indent)
+    _emit(tree.root, parts, indent)
     parts.append("\n")
     return "".join(parts)
 
@@ -32,27 +32,33 @@ def _attributes(vertex: Vertex) -> str:
     return "".join(chunks)
 
 
-def _emit(vertex: Vertex, parts: list[str], depth: int,
-          indent: int | None) -> None:
-    pad = "" if indent is None else " " * (indent * depth)
-    open_tag = f"{pad}<{vertex.label}{_attributes(vertex)}"
-    children = vertex.children
-    if not children:
-        parts.append(open_tag + "/>")
-        return
-    has_text = any(isinstance(c, str) for c in children)
-    if has_text or indent is None:
-        # Inline form: text content must not gain whitespace.
+def _emit(root: Vertex, parts: list[str], indent: int | None) -> None:
+    """Append ``root``'s markup to ``parts``.  Iterative, so a tree's
+    depth is bounded by memory, not by the interpreter's recursion
+    limit: the stack holds the output still to come, strings as they
+    are and vertices as ``(vertex, depth, indent)``."""
+    stack: list = [(root, 0, indent)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        vertex, depth, ind = item
+        pad = "" if ind is None else " " * (ind * depth)
+        open_tag = f"{pad}<{vertex.label}{_attributes(vertex)}"
+        children = vertex.children
+        if not children:
+            parts.append(open_tag + "/>")
+            continue
         parts.append(open_tag + ">")
-        for child in children:
-            if isinstance(child, str):
-                parts.append(escape_text(child))
-            else:
-                _emit(child, parts, 0, None)
-        parts.append(f"</{vertex.label}>")
-        return
-    parts.append(open_tag + ">")
-    for child in children:
-        parts.append("\n")
-        _emit(child, parts, depth + 1, indent)
-    parts.append(f"\n{pad}</{vertex.label}>")
+        if ind is None or any(isinstance(c, str) for c in children):
+            # Inline form: text content must not gain whitespace.
+            stack.append(f"</{vertex.label}>")
+            for child in reversed(children):
+                stack.append(escape_text(child) if isinstance(child, str)
+                             else (child, 0, None))
+            continue
+        stack.append(f"\n{pad}</{vertex.label}>")
+        for child in reversed(children):
+            stack.append((child, depth + 1, ind))
+            stack.append("\n")

@@ -13,6 +13,7 @@ contract fails here, not in review.
 """
 
 import json
+import zlib
 
 import pytest
 
@@ -232,6 +233,61 @@ class TestCheckCorpusFlags:
             {k: val for k, val in v.items() if k != "cached"}
             for v in vs]
         assert strip(warm["verdicts"]) == strip(cold["verdicts"])
+
+    def test_wrong_cache_records_are_misses(self, cli_files, tmp_path,
+                                           capsys):
+        """Cache records that would flip a verdict if believed — the key
+        differs from the one the CRC was taken over, the CRC fails, the
+        payload is not a report, or the entry is in the old
+        one-file-per-key layout — are misses: the verdicts are the
+        ones a run without a cache prints."""
+        _dtd, docs = random_corpus(n_docs=6, invalid_fraction=0.5, seed=3)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i, tree in enumerate(docs):
+            (corpus / f"doc{i}.xml").write_text(serialize(tree))
+        argv = ["check-corpus", cli_files["lib_schema"], str(corpus),
+                "--format", "json"]
+        code = main(argv)
+        plain = json.loads(capsys.readouterr().out)
+        assert code == 1 and plain["invalid"] > 0
+
+        def crc(key, body):
+            return b"%08x" % zlib.crc32(body, zlib.crc32(key))
+
+        def record(key, crc_value, body):
+            return b"\nP %s %s %s\n" % (key, crc_value, body)
+
+        records = []
+        for i, verdict in enumerate(plain["verdicts"][:4]):
+            key = verdict["key"].encode()
+            wrong = (b'{"ok":true,"violations":[]}' if not verdict["ok"]
+                     else b'{"ok":false,"violations":[{"code":"key",'
+                          b'"constraint":"","message":"planted",'
+                          b'"vertices":[]}]}')
+            if i == 0:
+                records.append(record(key, crc(b"f" * 64, wrong), wrong))
+            elif i == 1:
+                flipped = wrong.replace(b"violations", b"violationr")
+                records.append(record(key, crc(key, wrong), flipped))
+            else:
+                body = b'{"violations":[{}]}' if i == 2 else b"[]"
+                records.append(record(key, crc(key, body), body))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "results.log").write_bytes(b"".join(records))
+        old = plain["verdicts"][4]["key"]
+        (cache / old[:2]).mkdir()
+        (cache / old[:2] / f"{old[2:]}.json").write_text(json.dumps(
+            {"key": "x", "report": {"violations": [{}]}}))
+
+        assert main(argv + ["--cache", str(cache)]) == code
+        cached = json.loads(capsys.readouterr().out)
+        assert cached["cached"] == 0
+        strip = lambda vs: json.dumps(  # noqa: E731
+            [{k: val for k, val in v.items() if k != "cached"}
+             for v in vs], sort_keys=True)
+        assert strip(cached["verdicts"]) == strip(plain["verdicts"])
 
     def test_bench_json_alias_still_works(self, capsys):
         """--json on bench-incremental is deprecated but must keep

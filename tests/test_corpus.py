@@ -2,7 +2,10 @@
 content-addressed result cache."""
 
 import json
+import multiprocessing
 import os
+import time
+import zlib
 
 import pytest
 
@@ -65,8 +68,9 @@ class TestResultCache:
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
         cache.put("deadbeef", ValidationReport())
-        (path,) = list(tmp_path.rglob("*.json"))
-        path.write_text("{not json")
+        log = tmp_path / "results.log"
+        log.write_bytes(log.read_bytes().replace(
+            b'{"ok":true,"violations":[]}', b"{not json"))
         assert ResultCache(directory=tmp_path).get("deadbeef") is None
 
     def test_raw_byte_key_matches_text_key(self, library):
@@ -110,6 +114,172 @@ class TestResultCache:
         cache = ResultCache()
         CorpusValidator(dtd, cache=cache).validate(docs)
         assert cache.stats()["misses"] == len(docs)
+
+
+# -- the disk log: faults and concurrent processes --------------------------
+
+
+def _log_key(worker: int, i: int) -> str:
+    return result_key(f"<doc w='{worker}' i='{i}'/>", "log-test")
+
+
+def _log_report(worker: int, i: int) -> ValidationReport:
+    """Every third report carries a violation naming its document: a
+    wrong report returned for one of those keys cannot pass for the
+    right one."""
+    report = ValidationReport()
+    if i % 3 == 0:
+        report.add("foreign-key", f"document {worker}/{i}: dangling ref",
+                   "ref.to sub entry.isbn", (i, worker))
+    return report
+
+
+def _put_many(directory, worker, n, ready=None):
+    """Spawn target: put ``n`` keys, after every process is ready."""
+    if ready is not None:
+        ready.wait(60)
+    cache = ResultCache(capacity=1, directory=directory)
+    for i in range(n):
+        cache.put(_log_key(worker, i), _log_report(worker, i))
+
+
+def _prune_until(directory, started, stop, budget):
+    """Spawn target: prune the log to ``budget`` until told to stop."""
+    cache = ResultCache(directory=directory)
+    started.set()
+    while not stop.is_set():
+        cache.prune(max_bytes=budget)
+
+
+class TestResultLog:
+    """A fault in the log is a miss for the affected key only, and
+    processes sharing one directory never see a wrong report."""
+
+    N = 6
+
+    def _fill(self, directory):
+        cache = ResultCache(directory=directory)
+        for i in range(self.N):
+            cache.put(_log_key(0, i), _log_report(0, i))
+        return directory / "results.log"
+
+    def _hits(self, directory):
+        """Which of the N keys a fresh cache answers; every answer must
+        be the right report."""
+        cache = ResultCache(directory=directory)
+        hits = []
+        for i in range(self.N):
+            got = cache.get(_log_key(0, i))
+            if got is not None:
+                assert got.to_dict() == _log_report(0, i).to_dict()
+                hits.append(i)
+        return hits
+
+    def test_truncated_mid_record(self, tmp_path):
+        log = self._fill(tmp_path)
+        data = log.read_bytes()
+        log.write_bytes(data[:len(data) - 20])  # inside the last record
+        assert self._hits(tmp_path) == [0, 1, 2, 3, 4]
+
+    def test_flipped_payload_byte(self, tmp_path):
+        log = self._fill(tmp_path)
+        data = bytearray(log.read_bytes())
+        third = data.index(_log_key(0, 2).encode())
+        at = data.index(b"violations", third)
+        data[at] ^= 0x01
+        log.write_bytes(bytes(data))
+        assert self._hits(tmp_path) == [0, 1, 3, 4, 5]
+
+    def test_good_record_after_a_torn_one(self, tmp_path):
+        log = self._fill(tmp_path)
+        data = log.read_bytes()
+        log.write_bytes(data[:len(data) - 20])
+        extra = ResultCache(directory=tmp_path)
+        extra.put(_log_key(1, 0), _log_report(1, 0))
+        assert self._hits(tmp_path) == [0, 1, 2, 3, 4]
+        got = ResultCache(directory=tmp_path).get(_log_key(1, 0))
+        assert got.to_dict() == _log_report(1, 0).to_dict()
+
+    def test_key_differs_at_the_indexed_offset(self, tmp_path):
+        """The log rewritten in place (same inode, same size) puts
+        another key's valid record where the index points: a miss."""
+        log = self._fill(tmp_path)
+        reader = ResultCache(directory=tmp_path)
+        assert reader.get(_log_key(0, 0)) is not None  # builds the index
+        other = tmp_path / "other"
+        ResultCache(directory=other).put(_log_key(9, 1), _log_report(9, 1))
+        record = (other / "results.log").read_bytes()
+        data = log.read_bytes()
+        at = data.index(b"\nP " + _log_key(0, 1).encode())
+        with open(log, "r+b") as fh:  # keys 0/1 and 9/1 differ, sizes agree
+            fh.seek(at)
+            fh.write(record)
+        assert log.stat().st_size == len(data)
+        assert reader.get(_log_key(0, 1)) is None
+        assert reader.get(_log_key(0, 2)) is not None
+
+    def test_rebuild_failures_are_misses(self, tmp_path):
+        """Records whose CRC holds but whose JSON is not a report."""
+        cache = ResultCache(directory=tmp_path)
+        with open(tmp_path / "results.log", "ab") as fh:
+            for i, body in enumerate([b'{"violations":[{}]}', b"[]",
+                                      b'{"violations":7}', b"nul"]):
+                key = _log_key(0, i).encode()
+                crc = b"%08x" % zlib.crc32(body, zlib.crc32(key))
+                fh.write(b"\nP %s %s %s\n" % (key, crc, body))
+        assert [cache.get(_log_key(0, i)) for i in range(4)] == [None] * 4
+
+    def test_prune_races_appends(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        started, stop = ctx.Event(), ctx.Event()
+        pruner = ctx.Process(target=_prune_until,
+                             args=(str(tmp_path), started, stop, 20_000))
+        writer = ctx.Process(target=_put_many,
+                             args=(str(tmp_path), 0, 2000, started))
+        pruner.start()
+        writer.start()
+        try:
+            reader = ResultCache(capacity=1, directory=tmp_path)
+            deadline = time.monotonic() + 60
+            while writer.is_alive() and time.monotonic() < deadline:
+                for i in range(0, 2000, 97):
+                    got = reader.get(_log_key(0, i))
+                    assert got is None \
+                        or got.to_dict() == _log_report(0, i).to_dict()
+            writer.join(60)
+        finally:
+            stop.set()
+            pruner.join(60)
+        assert not writer.is_alive() and not pruner.is_alive()
+        assert writer.exitcode == 0 and pruner.exitcode == 0
+        fresh = ResultCache(directory=tmp_path)
+        hits = 0
+        for i in range(2000):
+            got = fresh.get(_log_key(0, i))
+            if got is not None:
+                assert got.to_dict() == _log_report(0, i).to_dict()
+                hits += 1
+        assert hits > 0
+
+    def test_concurrent_writers(self, tmp_path):
+        """More writer processes than cores, all appending at once."""
+        ctx = multiprocessing.get_context("spawn")
+        ready = ctx.Barrier(4, timeout=60)
+        writers = [ctx.Process(target=_put_many,
+                               args=(str(tmp_path), w, 200, ready))
+                   for w in range(4)]
+        for p in writers:
+            p.start()
+        for p in writers:
+            p.join(120)
+        assert not any(p.is_alive() for p in writers)
+        assert [p.exitcode for p in writers] == [0] * 4
+        fresh = ResultCache(directory=tmp_path)
+        for w in range(4):
+            for i in range(200):
+                got = fresh.get(_log_key(w, i))
+                assert got is not None, (w, i)
+                assert got.to_dict() == _log_report(w, i).to_dict()
 
 
 # -- the validator ---------------------------------------------------------

@@ -513,13 +513,15 @@ class TestCachePrune:
     def test_prune_evicts_least_recently_used(self, tmp_path):
         cache = self._fill(tmp_path, n=10)
         entry = cache.disk_bytes() // 10
-        # recently-used entries survive; getting re-stamps mtime
-        os.utime(tmp_path / "00" / ("a" * 62 + ".json"),
-                 (0, 0))  # force key 00 oldest
+        # recently-used entries survive; a disk hit re-stamps recency,
+        # so key 00, put first, becomes the most recently used
+        cache.clear()
+        assert cache.get("00" + "a" * 62) is not None
         cache.clear()
         stats = cache.prune(max_bytes=entry * 9)
         assert stats["evicted"] == 1
-        assert cache.get("00" + "a" * 62) is None
+        assert cache.get("01" + "a" * 62) is None
+        assert cache.get("00" + "a" * 62) is not None
         assert cache.get("09" + "a" * 62) is not None
 
     def test_prune_zero_empties(self, tmp_path):

@@ -160,3 +160,40 @@ class TestCorpusKeyStability:
         b.root.set_attribute("x", "1")
         assert result_key(serialize(a), "fp") \
             == result_key(serialize(b), "fp")
+
+
+class TestDeepTrees:
+    """``serialize`` is iterative: a tree's depth is bounded by memory,
+    not by the interpreter's recursion limit (depth 1000 raised
+    ``RecursionError`` when it recursed)."""
+
+    DEPTH = 5000
+
+    def _chain(self) -> DataTree:
+        tree = DataTree("n")
+        vertex = tree.root
+        vertex.set_attribute("id", "n0")
+        for i in range(1, self.DEPTH):
+            vertex = tree.create_under(vertex, "n")
+            vertex.set_attribute("id", f"n{i}")
+        vertex.append("a<b")
+        return tree
+
+    def test_serialize(self):
+        text = serialize(self._chain(), indent=None)
+        assert text == ("".join(f'<n id="n{i}">' for i in range(self.DEPTH))
+                        + "a&lt;b" + "</n>" * self.DEPTH + "\n")
+
+    def test_corpus_tree_input(self):
+        from repro import Validator
+        from repro.corpus import CorpusValidator
+        from repro.xmlio import parse_dtdc
+
+        dtd = parse_dtdc("<!ELEMENT n (#PCDATA | n)*>\n"
+                         "<!ATTLIST n id CDATA #REQUIRED>\n"
+                         "%% constraints\nn.id -> n\n", root="n")
+        tree = self._chain()
+        report = CorpusValidator(dtd).validate([tree])
+        (verdict,) = report.verdicts
+        assert verdict.error is None and verdict.ok
+        assert verdict.ok == Validator(dtd).check(tree).ok
