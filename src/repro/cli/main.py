@@ -31,8 +31,9 @@ is the human-readable default, ``json`` emits one machine-readable
 object on stdout with sorted keys.  ``check-corpus`` additionally
 takes ``--jobs N`` (worker processes) and ``--cache DIR`` (persistent
 result cache).  ``validate``, ``check-corpus`` and ``serve`` all take
-``--engine {batch,stream,codegen,auto}`` selecting the validation
-backend (see :mod:`repro.engines`); output is byte-identical across the
+``--engine {batch,codegen,auto,stream}`` selecting the validation
+backend (see :mod:`repro.engines`; ``auto`` and the deprecated
+``stream`` run as ``codegen``); output is byte-identical across the
 built-in engines.  ``--stream`` (and serve's ``--mode``) remain as
 deprecated aliases, to be removed in repro 2.0.
 
@@ -686,7 +687,7 @@ def _cmd_serve(args) -> int:
         LOG.info("--mode is deprecated; use --engine")
         default_engine = args.mode
     if default_engine is None:
-        default_engine = "stream"
+        default_engine = "auto"
     from repro import engines as _engines
 
     if default_engine not in _engines.names():
@@ -801,9 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schema")
     p.add_argument("--engine", default=None, metavar="NAME",
                    help="validation backend: batch (default; parse then "
-                   "validate), stream (one pass, O(depth) memory), "
-                   "codegen (schema-specialized generated code), auto "
-                   "(codegen when supported, else stream), or a "
+                   "validate), codegen (one pass, O(depth) memory, "
+                   "scanners specialised to the schema), auto (codegen), "
+                   "stream (deprecated alias of codegen), or a "
                    "registered third-party engine; output and exit "
                    "status are identical across the built-ins")
     p.add_argument("--stream", action="store_true",
@@ -850,8 +851,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-size", type=int, default=None, metavar="K",
                    help="documents per worker task (default: heuristic)")
     p.add_argument("--engine", default=None, metavar="NAME",
-                   help="per-document backend: batch (default), stream, "
-                   "codegen, or auto; single-pass engines read files "
+                   help="per-document backend: batch (default), "
+                   "codegen, auto (codegen) or stream (deprecated alias "
+                   "of codegen); the single-pass engine reads files "
                    "straight from disk and verdicts are identical "
                    "across engines")
     p.add_argument("--stream", action="store_true",
@@ -975,8 +977,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "re-submissions are answered without re-validating")
     p.add_argument("--engine", default=None, metavar="NAME",
                    help="default validate engine for requests that do "
-                   "not name one: stream (default), batch, codegen, "
-                   "auto, or a registered third-party engine")
+                   "not name one: auto (default; the single-pass codegen "
+                   "engine), codegen, batch, stream (deprecated alias of "
+                   "codegen), or a registered third-party engine")
     p.add_argument("--mode", choices=("stream", "batch"),
                    default=None,
                    help="deprecated alias for --engine")

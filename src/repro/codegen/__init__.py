@@ -1,44 +1,29 @@
-"""Schema-specialized validator codegen.
+"""The single-pass validation engine.
 
-Compiles a ``DTD^C`` to a Python module of literal tables — per-label
-DFA transitions as dict literals, the attributes Σ actually watches, the
-Σ-irrelevant labels whose runs single regex matches consume — that the
-schema-independent scanner in :mod:`repro.codegen.runtime` runs over.
-The module is ``exec``'d once per schema fingerprint per process and
-cached on disk so server restarts and corpus worker fleets compile once
-per machine.  Reports are byte-identical (``to_json()``) to the batch
-and streaming validators; see :mod:`repro.codegen.generate` for the
-determinism contract and :mod:`repro.codegen.cache` for the
-integrity-checked source cache.
+Validates a document in one pass over its text, bytes or mmapped file,
+with no :class:`~repro.datamodel.tree.DataTree`: a scanner specialised
+to the schema parses, checks structure and feeds the Σ-relevant
+elements to the constraint evaluators.  The scanners are built
+in-process from the schema's :class:`~repro.stream.plan.StreamPlan`
+(:func:`compile_schema`), once per schema handle and once per corpus
+worker; content-model rows fill on first use from the plan's lazy
+matchers, so every schema compiles.  Reports are byte-identical
+(``to_json()``) to the batch validator's; see
+:class:`~repro.codegen.runtime.RunState` for why.
 
 Select it through the unified engine API::
 
     validator.check("doc.xml", engine="codegen")   # or engine="auto"
 """
 
-from repro.codegen.cache import (
-    CACHE_ENV, cache_dir, cache_path, load_source, store_source,
-)
 from repro.codegen.engine import (
-    CodegenValidator, CompiledSchema, compile_schema, load_compiled,
-)
-from repro.codegen.generate import (
-    GENERATOR_VERSION, CompileError, generate_source,
+    CodegenValidator, CompiledSchema, compile_schema,
 )
 from repro.codegen.runtime import RunState
 
 __all__ = [
-    "CACHE_ENV",
     "CodegenValidator",
-    "CompileError",
     "CompiledSchema",
-    "GENERATOR_VERSION",
     "RunState",
-    "cache_dir",
-    "cache_path",
     "compile_schema",
-    "generate_source",
-    "load_compiled",
-    "load_source",
-    "store_source",
 ]

@@ -1,33 +1,29 @@
-"""Execute generated validators: compile, cache, and run documents.
+"""Build a schema's scanners and run documents through them.
 
-:func:`compile_schema` is the one producer of
-:class:`CompiledSchema` objects: source from the on-disk cache (or
-freshly generated and stored), ``exec``'d once per fingerprint per
-process, then bound to the live plan.  :class:`CodegenValidator` is the
-document-facing wrapper with the same ``validate``/``validate_text``/
-``validate_path`` surface as
-:class:`~repro.stream.validator.StreamValidator`, plus the zero-copy
-``validate_bytes``/``mmap`` file path: pure-ASCII input (checked with
-``bytes.isascii()`` over slices of at most :data:`_ASCII_SLICE` bytes)
-is validated directly over the byte buffer without decoding; anything
-else falls back to a full UTF-8 decode so reports — including error
-messages and line numbers — stay byte-identical to the streaming
-interpreter.
+:func:`compile_schema` is the one producer of :class:`CompiledSchema`
+objects: it builds the scanners of :mod:`repro.codegen.runtime`
+in-process from a compiled :class:`~repro.stream.plan.StreamPlan` —
+once per :class:`~repro.server.registry.SchemaHandle` (memoized on
+``handle.codegen``) and once per corpus worker process.
+:class:`CodegenValidator` is the document-facing wrapper with the
+``validate``/``validate_text``/``validate_path`` surface, plus the
+zero-copy ``validate_bytes``/``mmap`` file path: pure-ASCII input
+(checked with ``bytes.isascii()`` over slices of at most
+:data:`_ASCII_SLICE` bytes) is validated directly over the byte buffer
+without decoding; anything else is decoded as UTF-8 and takes the
+``str`` scanner, so reports — error messages and line numbers included
+— are the same for every input form.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-import threading
 
-from repro.codegen import cache as _disk
-from repro.codegen.generate import CompileError, generate_source
-from repro.codegen.runtime import RunState
+from repro.codegen.runtime import RunState, run_labels, scanners
 from repro.obs import NULL_OBS
 
-__all__ = ["CodegenValidator", "CompiledSchema", "compile_schema",
-           "load_compiled"]
+__all__ = ["CodegenValidator", "CompiledSchema", "compile_schema"]
 
 #: the pre-scan copies an ``mmap`` out in slices of this many bytes; any
 #: byte outside ASCII forces the decoded-str scanner (regex \w and
@@ -46,88 +42,50 @@ def _is_ascii(buf) -> bool:
     return True
 
 
-#: fingerprint -> exec'd module namespace (one exec per process)
-_MODULES: dict[str, dict] = {}
-_MODULES_LOCK = threading.Lock()
-
-
 class CompiledSchema:
-    """One schema's generated validator, bound to its live plan."""
+    """One schema's scanners, bound to its plan."""
 
-    __slots__ = ("fingerprint", "source", "plan", "scan_str", "scan_bytes")
+    __slots__ = ("fingerprint", "runs", "plan", "scan_str", "scan_bytes")
 
-    def __init__(self, fingerprint: str, source: str, plan,
+    def __init__(self, fingerprint: str, runs: "dict[str, bool]", plan,
                  scan_str, scan_bytes):
         self.fingerprint = fingerprint
-        #: the generated module text (what the on-disk cache stores)
-        self.source = source
+        #: the labels whose runs take the scanners' fast path
+        #: (:func:`~repro.codegen.runtime.run_labels`)
+        self.runs = runs
         self.plan = plan
         self.scan_str = scan_str
         self.scan_bytes = scan_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"<CompiledSchema {self.fingerprint[:12]} "
-                f"{len(self.source)} chars>")
-
-
-def _namespace(fingerprint: str, source: str) -> dict:
-    ns = _MODULES.get(fingerprint)
-    if ns is None:
-        code = compile(source, f"<repro-codegen {fingerprint[:12]}>",
-                       "exec")
-        ns = {}
-        exec(code, ns)
-        with _MODULES_LOCK:
-            _MODULES.setdefault(fingerprint, ns)
-            ns = _MODULES[fingerprint]
-    return ns
+                f"{len(self.runs)} run label(s)>")
 
 
 def compile_schema(plan, fingerprint: str, obs=None) -> CompiledSchema:
-    """Source for ``fingerprint`` (disk cache or fresh), exec'd and
-    bound to ``plan``.
-
-    Raises :class:`CompileError` when the schema is outside the codegen
-    subset (non-ASCII names, content-model DFA blowup) — callers fall
-    back to the streaming interpreter.
-    """
+    """``plan``'s scanners, built in-process; every schema compiles."""
     obs = obs or NULL_OBS
     if not obs.enabled:
-        return _compile(plan, fingerprint, obs)
+        return _compile(plan, fingerprint)
     with obs.span("codegen.compile", fingerprint=fingerprint[:12]):
-        return _compile(plan, fingerprint, obs)
-
-
-def _compile(plan, fingerprint: str, obs) -> CompiledSchema:
-    source = _disk.load_source(fingerprint)
-    origin = "disk-cache"
-    if source is None:
-        source = generate_source(plan, fingerprint)
-        _disk.store_source(fingerprint, source)
-        origin = "generated"
-    compiled = load_compiled(fingerprint, source, plan)
-    if obs.enabled:
-        obs.counter("codegen_compilations", {"origin": origin},
-                    help="codegen engine compilations, by source origin "
-                    "(generated vs the on-disk source cache)").add(1)
+        compiled = _compile(plan, fingerprint)
+    obs.counter("codegen_compilations",
+                help="codegen scanner builds").add(1)
     return compiled
 
 
-def load_compiled(fingerprint: str, source: str, plan) -> CompiledSchema:
-    """Bind already-obtained source to a plan (corpus workers receive
-    the text via ``initargs`` and skip cache and generator entirely)."""
-    ns = _namespace(fingerprint, source)
-    scan_str, scan_bytes = ns["bind"](plan)
-    return CompiledSchema(fingerprint, source, plan, scan_str, scan_bytes)
+def _compile(plan, fingerprint: str) -> CompiledSchema:
+    runs = run_labels(plan)
+    scan_str, scan_bytes = scanners(plan, runs)
+    return CompiledSchema(fingerprint, runs, plan, scan_str, scan_bytes)
 
 
 class CodegenValidator:
     """Validate documents through one compiled schema, one pass each.
 
     ``schema`` is a :class:`~repro.server.registry.SchemaHandle`, a
-    ``DTDC``, or a prebound :class:`CompiledSchema`.  Construction
-    triggers (cached) compilation and raises :class:`CompileError` for
-    schemas outside the codegen subset.
+    ``DTDC``, or a prebound :class:`CompiledSchema`; a handle (and so a
+    ``DTDC``) builds its scanners once, on first use.
     """
 
     def __init__(self, schema, obs=None):

@@ -1,12 +1,23 @@
-"""The schema-independent half of every generated module.
+"""The codegen engine's scanners and its per-document run state.
 
-A generated module (see :mod:`repro.codegen.generate`) holds only
-literal tables: per-label DFA transitions, the Σ-watched attribute
-names, sub-element field wants and the Σ-irrelevant run labels.  Its
-``bind(plan)`` hands them to :func:`scanners`, which builds the two
-scanner closures — one over ``str`` buffers, one over ``bytes``/``mmap``
-buffers — each a single pass that parses, checks structure, and feeds
-Σ-relevant vertices into a :class:`RunState`.
+:func:`scanners` builds, in-process from a compiled
+:class:`~repro.stream.plan.StreamPlan`, two scanner closures — one over
+``str`` buffers, one over ``bytes``/``mmap`` buffers — each a single
+pass that parses, checks structure, and feeds Σ-relevant vertices into
+a :class:`RunState`.  Their tables are specialised to the schema:
+
+- **content models** step through the plan's lazily-determinised
+  :class:`~repro.regexlang.automaton.Matcher`: a transition is one
+  lookup in the matcher's own row for the state (:attr:`Matcher.rows`),
+  and a row fills on first use, so no content model is determinised
+  beyond what documents reach;
+- **watched attributes** — only the attribute names Σ reads
+  (:attr:`~repro.stream.plan.LabelPlan.watched`) are materialized on
+  retained vertices; every other attribute costs one membership test
+  for the undeclared/missing structural checks and is never copied;
+- **Σ-irrelevant run labels** (:func:`run_labels`) — labels no
+  constraint watches, with no declared attributes and a text-or-empty
+  content model, whose runs a bounded regex match consumes.
 
 What a scanner does per construct:
 
@@ -18,22 +29,19 @@ What a scanner does per construct:
   match rejects is replayed attribute by attribute only to raise the
   located error the tokenizer raises;
 - ``<x/>`` is closed inline, without building a stack frame;
-- a run of Σ-irrelevant leaves is consumed by one regex match and its
-  elements are counted in place (an ``mmap``, which has no ``count``,
-  counts a copy of the run); the parent DFA advances arithmetically;
+- a run of Σ-irrelevant leaves is consumed :data:`RUN_MAX` elements per
+  regex match, so neither the regex engine's backtracking stack nor the
+  copy an ``mmap`` (which has no ``count``) needs to count a match in
+  grows with the run; the parent DFA advances arithmetically;
 - closed Σ-relevant vertices are buffered and handed to
   :meth:`RunState.flush_region` in batches of :data:`FLUSH_BATCH`.
 
 Both scanners use the ``str`` whitespace class: the bytes scanner runs
-on ASCII input only, where that class is :data:`_WS_BYTES`.
-
-:class:`RunState` owns everything whose byte-exact behaviour belongs to
-the existing machinery — evaluator dispatch, the pre-order region
-buffer, deferred ``full()`` passes, and report assembly — reusing the
-same :class:`~repro.stream.validator.StreamIndex` /
-:func:`~repro.constraints.evaluators.evaluator_for` code paths the
-streaming interpreter runs, so the :class:`ValidationReport` stays
-byte-identical (``to_json()``) across batch, stream and codegen engines.
+on ASCII input only, where that class is :data:`_WS_BYTES`, and its
+tables leave out names that are not ASCII (no such tag can occur).
+Element and attribute names are those the tokenizer's ``_NAME_RE``
+accepts; a leading byte-order mark is skipped, and a repeated
+attribute name raises the tokenizer's located error.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from repro.obs import NULL_OBS
 from repro.stream.validator import StreamIndex, StreamVertex
 from repro.xmlio.escape import unescape
 
-__all__ = ["FLUSH_BATCH", "RunState", "scanners"]
+__all__ = ["FLUSH_BATCH", "RUN_MAX", "RunState", "run_labels", "scanners"]
 
 #: closed Σ-relevant vertices buffered before :meth:`RunState.flush_region`
 #: runs (a batch is flushed only while no Σ-relevant element is open)
@@ -70,12 +78,44 @@ _ATTR_FIND = re.compile(
     r"([^\s=]+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')").findall
 
 
-def _skip_pattern(label: str, text_ok: bool, ws: str):
+#: most elements one match of a run pattern consumes; a longer run takes
+#: several matches, so a match's backtracking stack (and an ``mmap``'s
+#: counting copy) stays bounded whatever the run's length
+RUN_MAX = 256
+
+
+def run_labels(plan) -> dict[str, bool]:
+    """The Σ-irrelevant leaf labels whose runs the scanner consumes with
+    a regex match, each mapped to whether one text chunk is legal in it.
+
+    Such a label is retained by no constraint, captured as text by no
+    parent, declares no attributes, and has a content model that
+    accepts exactly what the run pattern admits — the empty word
+    (``<L/>``, ``<L></L>``) and, when text is legal, one text chunk
+    (``<L>text</L>``).  Elements matched by the pattern can contribute
+    nothing to the report beyond a vid and one parent-DFA step, which
+    the scanner applies arithmetically.
+    """
+    runs = {}
+    for label, lp in plan.labels.items():
+        if (label in plan.relevant or label in plan.text_fields
+                or lp.declared_attrs):
+            continue
+        m = plan.matchers[label]
+        if m.is_accepting_state(0):
+            after_text = m.step(0, "S")
+            runs[label] = (after_text is not None
+                           and m.is_accepting_state(after_text))
+    return runs
+
+
+def _run_pattern(label: str, text_ok: bool, ws: str):
     """The run pattern for a Σ-irrelevant leaf label and the tokens that
     count its elements: ``<L/>``, ``<L></L>`` and, when text is legal,
-    ``<L>text</L>``, separated by whitespace.  A run ends at its last
-    element, so text after it starts where the tokenizer's does (the
-    line of an error in that text depends on it)."""
+    ``<L>text</L>``, separated by whitespace, at most :data:`RUN_MAX`
+    of them.  A run ends at its last element, so text after it starts
+    where the tokenizer's does (the line of an error in that text
+    depends on it)."""
     e = re.escape(label)
     if text_ok:
         unit = f"<{e}>[^<&]*</{e}>|<{e}/>"
@@ -83,18 +123,23 @@ def _skip_pattern(label: str, text_ok: bool, ws: str):
     else:
         unit = f"<{e}/>|<{e}></{e}>"
         tokens = (f"<{label}/>", f"<{label}></{label}>")
-    return f"(?:{unit})(?:{ws}*(?:{unit}))*", tokens
+    return f"(?:{unit})(?:{ws}*(?:{unit})){{0,{RUN_MAX - 1}}}", tokens
 
 
-def scanners(plan, root, relevant, cm, watched, wants, skip):
-    """The (str scanner, bytes scanner) pair over a generated module's
-    tables and the live plan (whose declared-attribute iteration order
-    must match the in-process batch/stream validators)."""
-    args = (plan, root, relevant, cm, watched, wants, skip)
-    return _scanner(*args, as_bytes=False), _scanner(*args, as_bytes=True)
+def scanners(plan, runs):
+    """The (str scanner, bytes scanner) pair for ``plan``, with the
+    labels of ``runs`` (:func:`run_labels`) taking the run fast path."""
+    return (_scanner(plan, runs, as_bytes=False),
+            _scanner(plan, runs, as_bytes=True))
 
 
-def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
+def _duplicate_attribute(name: str, label: str, line: int):
+    """The tokenizer's error for a start tag repeating ``name``."""
+    return XMLSyntaxError(
+        f"duplicate attribute {name!r} in start tag <{label}", line=line)
+
+
+def _scanner(plan, runs, *, as_bytes):
     if as_bytes:
         def M(s):
             return s.encode("ascii")
@@ -114,39 +159,30 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
         strip_ws = None
         R = re.compile
 
+    root = plan.root
+    relevant = plan.relevant
     # rec tuple layout (one per declared label, keyed by its mode label)
-    # 0 slabel  1 trans  2 accepting  3 expected  4 declared (live order)
-    # 5 set-valued  6 watched  7 relevant  8 wants  9 skip regex
-    # 10 skip count tokens  11 own symbol
+    # 0 str label  1 matcher rows  2 matcher acceptance  3 matcher
+    # 4 declared (live order)  5 set-valued  6 watched  7 relevant
+    # 8 wants  9 run regex  10 run count tokens
     LABELS = {}
-    for slabel, (trans, acc, exp) in cm.items():
-        lp = plan.labels[slabel]
-        text_ok = skip.get(slabel)
+    for slabel, lp in plan.labels.items():
+        if as_bytes and not slabel.isascii():
+            continue  # the bytes scanner only ever sees ASCII input
+        m = plan.matchers[slabel]
+        text_ok = runs.get(slabel)
         if text_ok is None:
             run_re, run_tokens = None, ()
         else:
-            pattern, tokens = _skip_pattern(slabel, text_ok, ws)
+            pattern, tokens = _run_pattern(slabel, text_ok, ws)
             run_re, run_tokens = R(pattern), tuple(M(t) for t in tokens)
         LABELS[M(slabel)] = (
-            slabel,
-            {st: {M(sym): nx for sym, nx in row.items()}
-             for st, row in trans.items()},
-            frozenset(acc),
-            exp,
-            lp.declared_attrs,
-            lp.set_valued,
-            frozenset(watched.get(slabel, ())),
-            slabel in relevant,
-            frozenset(wants.get(slabel, ())),
-            run_re,
-            run_tokens,
-            M(slabel),
-        )
-    REL = frozenset(M(s) for s in relevant)
+            slabel, m.rows, m.accepting, m,
+            lp.declared_attrs, lp.set_valued, lp.watched,
+            slabel in relevant, lp.elem_fields, run_re, run_tokens)
     LT = M("<")
     AMP = M("&")
     NL = M("\n")
-    SYM_S = M("S")
     START_TAG = R(
         rf"{ws}*<({_NAME})((?:{ws}+{_NAME}{ws}*={ws}*"
         rf"(?:\"[^\"]*\"|'[^']*'))*){ws}*(/?)>").match
@@ -168,7 +204,9 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
 
     def scan(buf, rs):
         n = len(buf)
-        pos = 0
+        # a leading byte-order mark is skipped (only decoded input can
+        # carry one: it is not ASCII)
+        pos = 1 if not as_bytes and buf[:1] == "\ufeff" else 0
         find = buf.find
         start_tag = START_TAG
         end_tag = END_TAG
@@ -177,9 +215,12 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
         region = rs.region
         flush_region = rs.flush_region
         stack = []
-        # frame layout: 0 mode label  1 str label  2 vid  3 trans
+        # frame layout: 0 mode label  1 str label  2 vid  3 matcher rows
         # 4 state  5 viable  6 dead state  7 vertex  8 wants  9 texts
         # 10 rec
+        # A content-model step is ``rows[state].get(symbol)``; None is a
+        # dead transition or one not taken yet, which the matcher's
+        # ``step`` tells apart (filling the row).
         pending = []  # non-blank text chunks: (raw, pos, cooked or None)
         next_vid = 0
         n_skipped = 0
@@ -214,7 +255,9 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
             for chunk, _cpos, cooked in pending:
                 state = top[4]
                 if state is not None:
-                    nxt = top[3][state].get(SYM_S)
+                    nxt = top[3][state].get("S")
+                    if nxt is None:
+                        nxt = top[10][3].step(state, "S")
                     if nxt is None:
                         top[6] = state
                         top[4] = None
@@ -235,10 +278,15 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
             rec = labels.get(nm.group(0))
             slabel = rec[0] if rec is not None else dec(nm.group(0))
             j = nm.end()
+            names = set()
             while True:
                 am = ATTR_RE.match(buf, j)
                 if am is None:
                     break
+                name = dec(am.group(1))
+                if name in names:
+                    return _duplicate_attribute(name, slabel, line_at(p))
+                names.add(name)
                 raw = dec(am.group(2)[1:-1])
                 if "&" in raw:
                     cook(raw, p)
@@ -252,7 +300,8 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
                 label, span, slash = m.groups()
                 rec = labels.get(label)
                 if stack and rec is not None and rec[9] is not None:
-                    # a run of Σ-irrelevant leaves: consume it whole
+                    # a run of Σ-irrelevant leaves: consume up to
+                    # RUN_MAX of them
                     sm = rec[9].match(buf, m.start(1) - 1)
                     if sm is not None:
                         if pending:
@@ -265,7 +314,7 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
                         state = parent[4]
                         if state is not None:
                             trans = parent[3]
-                            sym = rec[11]
+                            sym = rec[0]
                             seen = {}
                             k = 0
                             while k < cnt:
@@ -279,6 +328,8 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
                                     break
                                 seen[state] = k
                                 nxt = trans[state].get(sym)
+                                if nxt is None:
+                                    nxt = parent[10][3].step(state, sym)
                                 if nxt is None:
                                     parent[6] = state
                                     state = None
@@ -309,6 +360,9 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
                     amp = "&" in span
                     amap = {}
                     for name, dq, sq in _ATTR_FIND(span):
+                        if name in amap:
+                            raise _duplicate_attribute(
+                                name, slabel, line_at(m.start(1) - 1))
                         val = dq or sq
                         if amp and "&" in val:
                             val = cook(val, m.start(1) - 1)
@@ -338,7 +392,9 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
                     parent = stack[-1]
                     state = parent[4]
                     if state is not None:
-                        nxt = parent[3][state].get(label)
+                        nxt = parent[3][state].get(slabel)
+                        if nxt is None:
+                            nxt = parent[10][3].step(state, slabel)
                         if nxt is None:
                             parent[6] = state
                             parent[4] = None
@@ -360,9 +416,10 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
                                     (vid, 1), "attribute",
                                     f"undeclared attribute "
                                     f"{slabel}.{name}", (vid,)))
-                        # (the batch/stream single-valued multiplicity
-                        # check cannot fire on parsed input: a parsed
-                        # attribute always carries exactly one value)
+                        # (the batch validator's single-valued
+                        # multiplicity check cannot fire on parsed
+                        # input: a parsed attribute always carries
+                        # exactly one value)
                         for name in declared:
                             if name not in amap:
                                 structural.append((
@@ -375,19 +432,20 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
                     structural.append((
                         (vid, 0), "element",
                         f"undeclared element type {slabel!r}", (vid,)))
-                    if label in REL:
+                    if slabel in relevant:
                         sv = StreamVertex(vid, slabel, {
                             name: frozenset((val,))
                             for name, val in amap.items()})
                 pos = m.end()
                 if slash:
                     # <x/>: closed here, with no children
-                    if rec is not None and 0 not in rec[2]:
+                    if rec is not None and not rec[2][0]:
+                        expected = sorted(rec[3].expected_from(0))
                         structural.append((
                             (vid, 0), "content-model",
                             f"children of {slabel!r} do not match its "
                             f"content model (stuck after 0 child(ren); "
-                            f"expected one of {rec[3][0]})", (vid,)))
+                            f"expected one of {expected})", (vid,)))
                     if texts is not None and parent[7] is not None:
                         parent[7]._add_elem_child(slabel, "")
                     if sv is not None:
@@ -424,9 +482,9 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
                 rec = top[10]
                 if rec is not None:
                     state = top[4]
-                    if state is None or state not in rec[2]:
-                        expected = rec[3][top[6] if state is None
-                                          else state]
+                    if state is None or not rec[2][state]:
+                        expected = sorted(rec[3].expected_from(
+                            top[6] if state is None else state))
                         structural.append((
                             (top[2], 0), "content-model",
                             f"children of {top[1]!r} do not match its "
@@ -536,16 +594,43 @@ def _scanner(plan, root, relevant, cm, watched, wants, skip, *, as_bytes):
 
 
 class RunState:
-    """Mutable constraint-side state of one generated-scanner pass.
+    """Mutable constraint-side state of one scanner pass: the evaluator
+    feed and report assembly.
 
     The scanner owns parsing, structural checks and vertex construction;
     it appends closed Σ-relevant vertices to :attr:`region` and calls
     :meth:`flush_region` once a batch of :data:`FLUSH_BATCH` has
     gathered while no Σ-relevant element is open, and once more before
-    :meth:`finish`.  The feed order mirrors ``repro.stream.validator._Run``
-    — same vid ordering, same evaluator ``add()`` sequence, same deferred
-    ``full()`` set — which is what makes the reports byte-identical; only
-    the timing of the calls differs.
+    :meth:`finish`.  The report is byte-identical (``to_json()``) to the
+    batch ``validate(parse_document(text, S), dtd)`` because:
+
+    - **vids** are assigned in start-tag order, which is exactly the
+      pre-order rank :meth:`DataTree.create` hands out during a parse;
+    - **structural violations** are collected with ``(vid, rank)`` sort
+      keys (root check < element/content-model < attribute checks) and
+      stably sorted in :meth:`finish`, reproducing the batch validator's
+      pre-order sweep even though attribute checks fire at the start
+      tag and content-model checks at the close tag;
+    - **content models** are stepped one DFA transition per child; the
+      state held at the first dead transition reproduces the
+      ``prefix_length`` / ``expected_after`` diagnostics without ever
+      buffering the child word;
+    - **constraints** reuse the
+      :class:`~repro.constraints.evaluators.ConstraintEvaluator`
+      machinery.  A closed element is fed through the same ``add()``
+      path as an incremental insertion, in strict document (pre-)order:
+      the region drains only while no Σ-relevant element is open, and
+      sorted by vid, so every vertex opened later has a larger vid than
+      anything flushed and each evaluator sees the vertex sequence a
+      batch ``full()`` pass would (dict insertion orders — and so
+      emission orders — cannot drift).  Inverse evaluators, whose
+      violated-pair order is a function of the whole extension, and
+      static (schema-level) violations are deferred to one
+      end-of-document ``full()`` over the retained vertices.
+
+    Peak memory is O(open-element depth + retained Σ-relevant vertices
+    + evaluator residual state): vertices whose label no constraint or
+    declared-ID attribute cares about are never retained.
     """
 
     __slots__ = ("plan", "obs", "structural", "region", "index",
@@ -556,8 +641,8 @@ class RunState:
         obs = obs or NULL_OBS
         self.plan = plan
         self.obs = obs
-        #: ((vid, rank), code, message, vids) — the same stable-sort keys
-        #: the streaming validator uses to recover batch sweep order
+        #: ((vid, rank), code, message, vids): rank -1 root check, 0
+        #: element/content-model, 1 attribute checks
         self.structural: list[tuple] = []
         self.index = StreamIndex(plan.id_map)
         self.evaluators = [evaluator_for(c, self.index, plan.id_map,

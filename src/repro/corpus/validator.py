@@ -21,6 +21,7 @@ import os
 import time
 from typing import Iterable, Optional, Union
 
+from repro import engines as _engines
 from repro.corpus.cache import ResultCache, result_key, result_key_bytes
 from repro.corpus.report import CorpusReport, DocumentVerdict
 from repro.corpus.worker import init_worker, stream_chunk, validate_chunk
@@ -112,16 +113,14 @@ class CorpusValidator:
         and spans are merged into it under a ``corpus.validate`` span.
     engine:
         Per-document backend: ``"batch"`` (parse-then-validate, the
-        default), ``"stream"`` (single-pass
-        :class:`~repro.stream.StreamValidator`), ``"codegen"``
-        (schema-specialized generated code; the source text is compiled
-        once by the coordinator and shipped to each worker, which
-        ``exec``'s it once and validates file inputs over raw bytes), or
-        ``"auto"`` (``codegen`` when the schema supports it, else
-        ``stream``).  Verdicts are byte-identical across engines.  On
-        the streaming/codegen engines file inputs stay as paths so
-        workers read them from disk, hashing the raw bytes for the
-        cache key as part of the same read.
+        default) or ``"codegen"`` (the single-pass engine; each worker
+        builds its scanners once from the plan it is shipped, and
+        validates file inputs over raw bytes).  ``"auto"`` and the
+        deprecated ``"stream"`` resolve to ``"codegen"`` through
+        :func:`repro.engines.resolve`.  Verdicts are byte-identical
+        across engines.  On the codegen engine file inputs stay as
+        paths so workers read them from disk, hashing the raw bytes for
+        the cache key as part of the same read.
     stream:
         Deprecated spelling of ``engine="stream"``; mutually exclusive
         with ``engine``.
@@ -154,20 +153,18 @@ class CorpusValidator:
             raise ValueError(
                 "pass either engine=... or the deprecated stream=True, "
                 "not both")
-        elif engine == "auto":
-            engine = "codegen" if self.handle.supports_codegen() \
-                else "stream"
-        elif engine not in ("batch", "stream", "codegen"):
+        engine = _engines.resolve(engine)
+        if engine not in ("batch", "codegen"):
             from repro.errors import ReproError
 
             raise ReproError(
                 f"unknown corpus engine {engine!r} "
                 "(known: auto, batch, codegen, stream)")
-        #: the resolved per-document backend ("auto" never survives
-        #: construction)
+        #: the resolved per-document backend, "batch" or "codegen"
+        #: ("auto" and "stream" never survive construction)
         self.engine = engine
-        #: back-compat view: True for every single-pass engine
-        self.stream = engine in ("stream", "codegen")
+        #: back-compat view: True for the single-pass engine
+        self.stream = engine == "codegen"
         self.fingerprint = self.handle.fingerprint
         #: per-document ``L_id`` merge aggregates of the most recent
         #: :meth:`validate` run, in verdict order: the
@@ -197,8 +194,8 @@ class CorpusValidator:
         Path inputs are keyed on raw file bytes.  On the batch path the
         coordinator needs the decoded text anyway (workers receive
         text), so the entry is rewritten to ``("text", ...)`` from the
-        same read.  On the streaming path the file stays on disk for the
-        worker to stream; the coordinator only reads it when a cache
+        same read.  On the single-pass path the file stays on disk for the
+        worker to read; the coordinator only reads it when a cache
         needs the key up front — without a cache the key comes back from
         the worker, which hashes the bytes it reads anyway.
         """
@@ -334,15 +331,13 @@ class CorpusValidator:
         chunk spans join the run's trace."""
         if not pending:
             return []
-        codegen_source = None
         if self.stream:
             work = [entries[i] for i in pending]
             worker = stream_chunk
-            plan = self._compiled_plan()
-            if self.engine == "codegen":
-                # ship the generated module *text*: each worker exec's
-                # it once instead of re-running generator or disk cache
-                codegen_source = self.handle.codegen.source
+            # the handle builds its scanners once per process, before
+            # any fork: each worker builds its own from the plan, and a
+            # forked one inherits the compiled regexes and matchers
+            plan = self.handle.codegen.plan
         else:
             # the batch worker takes (doc_id, xml_text) pairs; _prepare
             # already rewrote every path entry to its text
@@ -354,7 +349,7 @@ class CorpusValidator:
         traceparent = run_ctx.to_traceparent() \
             if run_ctx is not None else None
         initargs = (self.dtd, collect_obs, plan, self.fingerprint,
-                    traceparent, self.engine, codegen_source)
+                    traceparent)
         if self.jobs == 1:
             init_worker(*initargs)
             return [worker(chunk) for chunk in chunks]
@@ -365,12 +360,6 @@ class CorpusValidator:
                 initializer=init_worker,
                 initargs=initargs) as pool:
             return pool.map(worker, chunks)
-
-    def _compiled_plan(self):
-        """The streaming plan — compiled once per schema per process,
-        on the handle (shared with ``Validator.check_stream`` and the
-        serve daemon)."""
-        return self.handle.plan
 
     def _to_verdict(self, key: Optional[str],
                     verdict_dict: dict) -> DocumentVerdict:

@@ -5,7 +5,7 @@ reference.  The pool initializer receives the ``DTD^C`` once per worker
 (pickled by ``multiprocessing`` itself), so Σ and the structure are
 materialized a single time per process; chunk tasks then carry only
 ``(doc_id, xml_text)`` pairs (or ``(doc_id, kind, value)`` triples for
-the streaming path) in and JSON-safe dicts out.
+the single-pass path) in and JSON-safe dicts out.
 
 ``jobs=1`` runs the exact same two functions in-process, which is what
 makes the serial fallback bit-identical to the pooled path.
@@ -38,23 +38,20 @@ _STATE: dict = {}
 
 def init_worker(dtd: DTDC, collect_obs: bool, plan=None,
                 fingerprint: "str | None" = None,
-                traceparent: "str | None" = None,
-                engine: "str | None" = None,
-                codegen_source: "str | None" = None) -> None:
+                traceparent: "str | None" = None) -> None:
     """Install the schema (and obs policy) for this worker process.
 
     ``plan`` is the coordinator's compiled
     :class:`~repro.stream.StreamPlan` when the run is single-pass —
-    shipped once per worker so :func:`stream_chunk` never recompiles
-    it.  The coordinator likewise ships its ``fingerprint`` so workers
-    never re-hash the schema (recomputed only when an old caller omits
-    it), and — when the run happens under a request — the
-    ``traceparent`` wire form of its :class:`~repro.obs.TraceContext`,
-    so every chunk span this worker produces carries the originating
-    request's trace_id and re-parents under it on merge.  For
-    ``engine="codegen"`` runs ``codegen_source`` carries the generated
-    module text, which the worker ``exec``'s exactly once — no worker
-    ever runs the generator or touches the source cache.
+    shipped once per worker, which builds the codegen scanners from it
+    here, once, for every :func:`stream_chunk` call to share (a serial
+    run that calls this again with the same plan keeps them).  The
+    coordinator likewise ships its ``fingerprint`` so workers never
+    re-hash the schema (recomputed only when an old caller omits it),
+    and — when the run happens under a request — the ``traceparent``
+    wire form of its :class:`~repro.obs.TraceContext`, so every chunk
+    span this worker produces carries the originating request's
+    trace_id and re-parents under it on merge.
 
     Whether verdicts carry merge aggregates follows Σ alone: the
     merge-class positions (:func:`~repro.shard.locality.classify_sigma`)
@@ -66,12 +63,14 @@ def init_worker(dtd: DTDC, collect_obs: bool, plan=None,
 
     _STATE["dtd"] = dtd
     _STATE["collect_obs"] = collect_obs
-    _STATE["plan"] = plan
     _STATE["fingerprint"] = fingerprint or schema_fingerprint(dtd)
     _STATE["traceparent"] = traceparent
-    _STATE["engine"] = engine
-    _STATE["codegen_source"] = codegen_source
     _STATE["merge"] = classify_sigma(dtd)[Locality.MERGE]
+    compiled = _STATE.get("compiled")
+    if plan is not None and (compiled is None or compiled.plan is not plan):
+        from repro.codegen import compile_schema
+
+        _STATE["compiled"] = compile_schema(plan, _STATE["fingerprint"])
 
 
 def _chunk_obs(n_docs: int) -> "tuple[Optional[Observability], object]":
@@ -130,23 +129,6 @@ def validate_chunk(chunk: "list[tuple[str, str]]") -> dict:
     }
 
 
-def _single_pass_validator(obs):
-    """The worker's one-pass validator: the codegen wrapper when the
-    coordinator shipped generated source, else the streaming
-    interpreter.  Both expose ``validate_text``; the codegen one adds
-    the zero-copy ``validate_bytes``."""
-    if _STATE.get("engine") == "codegen":
-        from repro.codegen import CodegenValidator, load_compiled
-
-        compiled = load_compiled(_STATE["fingerprint"],
-                                 _STATE["codegen_source"],
-                                 _STATE["plan"])
-        return CodegenValidator(compiled, obs=obs)
-    from repro.stream import StreamValidator
-
-    return StreamValidator(_STATE["plan"], obs=obs)
-
-
 def stream_chunk(chunk: "list[tuple[str, str, str]]") -> dict:
     """Single-pass-validate a chunk of ``(doc_id, kind, value)`` triples.
 
@@ -157,13 +139,13 @@ def stream_chunk(chunk: "list[tuple[str, str, str]]") -> dict:
     keys it chose not to compute up front.  Merge aggregates come from
     the finished run that produced the verdict (``sv.last_run``).
     """
+    from repro.codegen import CodegenValidator
     from repro.shard.aggregates import aggregates_of
 
     fingerprint: str = _STATE["fingerprint"]
     merge = _STATE["merge"]
     obs, span = _chunk_obs(len(chunk))
-    sv = _single_pass_validator(obs)
-    validate_bytes = getattr(sv, "validate_bytes", None)
+    sv = CodegenValidator(_STATE["compiled"], obs=obs)
     verdicts = []
     try:
         for doc_id, kind, value in chunk:
@@ -173,10 +155,7 @@ def stream_chunk(chunk: "list[tuple[str, str, str]]") -> dict:
                     with open(value, "rb") as handle:
                         data = handle.read()
                     key = result_key_bytes(data, fingerprint)
-                    if validate_bytes is not None:
-                        report = validate_bytes(data)
-                    else:
-                        report = sv.validate_text(data.decode("utf-8"))
+                    report = sv.validate_bytes(data)
                 else:
                     key = result_key(value, fingerprint)
                     report = sv.validate_text(value)

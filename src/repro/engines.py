@@ -9,15 +9,18 @@ ad-hoc boolean flags:
     Materialize a :class:`~repro.datamodel.tree.DataTree` and run the
     Definition 2.4 reference validator.  The only engine that accepts
     an already-parsed tree.
-``stream``
-    The single-pass streaming interpreter — O(depth + Σ-relevant state)
-    memory, any schema.
 ``codegen``
-    Schema-specialized generated Python (see :mod:`repro.codegen`);
-    fastest, but restricted to ASCII names and bounded content-model
-    DFAs.
+    The single-pass engine (see :mod:`repro.codegen`): scanners
+    specialised to the schema, O(depth + Σ-relevant state) memory, any
+    schema.
 ``auto``
-    ``codegen`` when the schema supports it, else ``stream``.
+    ``codegen``.
+``stream``
+    Deprecated alias of ``codegen`` (removed in repro 2.0); it runs,
+    and reports itself, as ``codegen``.
+
+:func:`resolve` is the one place these names resolve: the corpus
+validator and the server ask it which engine a request runs as.
 
 Third-party backends plug in without touching the CLI or server::
 
@@ -47,10 +50,12 @@ from typing import Callable
 
 from repro.errors import ReproError
 
-__all__ = ["create", "names", "register", "unregister"]
+__all__ = ["create", "names", "register", "resolve", "unregister"]
 
 _FACTORIES: dict[str, Callable] = {}
 _BUILTIN = frozenset(("auto", "batch", "stream", "codegen"))
+#: built-in names that run as another engine
+_ALIASES = {"auto": "codegen", "stream": "codegen"}
 _LOCK = threading.Lock()
 
 
@@ -97,24 +102,8 @@ def _reject_tree(source, engine: str):
             "parsed DataTree (use engine='batch', or validator.validate)")
 
 
-class _StreamEngine:
-    """The single-pass streaming interpreter."""
-
-    name = "stream"
-
-    def __init__(self, handle, obs=None):
-        from repro.stream.validator import StreamValidator
-
-        self.handle = handle
-        self._validator = StreamValidator(handle.plan, obs=obs)
-
-    def validate(self, source):
-        _reject_tree(source, "stream")
-        return self._validator.validate(source)
-
-
 class _CodegenEngine:
-    """Schema-specialized generated code (see :mod:`repro.codegen`)."""
+    """The single-pass engine (see :mod:`repro.codegen`)."""
 
     name = "codegen"
 
@@ -129,16 +118,15 @@ class _CodegenEngine:
         return self._validator.validate(source)
 
 
-def _auto_factory(handle, obs=None):
-    if handle.supports_codegen():
-        return _CodegenEngine(handle, obs=obs)
-    return _StreamEngine(handle, obs=obs)
-
-
 _FACTORIES["batch"] = _BatchEngine
-_FACTORIES["stream"] = _StreamEngine
-_FACTORIES["codegen"] = _CodegenEngine
-_FACTORIES["auto"] = _auto_factory
+_FACTORIES["codegen"] = _FACTORIES["auto"] = _FACTORIES["stream"] = \
+    _CodegenEngine
+
+
+def resolve(name: str) -> str:
+    """The engine ``name`` runs as: ``auto`` and the deprecated
+    ``stream`` run as ``codegen``; every other name as itself."""
+    return _ALIASES.get(name, name)
 
 
 def names() -> list[str]:

@@ -10,10 +10,16 @@ DFA is shared across validations of the same DTD.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Sequence
 
 from repro.regexlang.ast import Regex
 from repro.regexlang.glushkov import GlushkovNFA
+
+#: serializes the discovery of new DFA states: matchers are shared
+#: process-wide, and a state's number must index the same entry of every
+#: per-state list
+_GROW = threading.Lock()
 
 
 class Matcher:
@@ -36,13 +42,15 @@ class Matcher:
         if not nxt:
             row[symbol] = None
             return None
-        idx = self._states.get(nxt)
-        if idx is None:
-            idx = len(self._state_list)
-            self._states[nxt] = idx
-            self._state_list.append(nxt)
-            self._accepting.append(self.nfa.is_accepting(nxt))
-            self._trans.append({})
+        with _GROW:
+            idx = self._states.get(nxt)
+            if idx is None:
+                # the lists grow before the number is published
+                idx = len(self._state_list)
+                self._state_list.append(nxt)
+                self._accepting.append(self.nfa.is_accepting(nxt))
+                self._trans.append({})
+                self._states[nxt] = idx
         row[symbol] = idx
         return idx
 
@@ -107,6 +115,22 @@ class Matcher:
             if self.nfa.step(self._state_list[state], sym):
                 out.add(sym)
         return out
+
+    # -- the memo itself (the codegen scanner's transition tables) ------
+
+    @property
+    def rows(self) -> list[dict[str, int | None]]:
+        """One transition row per state discovered so far, indexed by
+        state: ``rows[state].get(symbol)`` is the successor once
+        :meth:`step` has taken that transition (``None`` means dead, or
+        not taken yet — :meth:`step` tells them apart and fills the
+        row).  The list grows in place as new states are discovered."""
+        return self._trans
+
+    @property
+    def accepting(self) -> list[bool]:
+        """Acceptance per discovered state, indexed like :attr:`rows`."""
+        return self._accepting
 
 
 _MATCHER_CACHE: dict[Regex, Matcher] = {}

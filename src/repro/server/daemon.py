@@ -37,13 +37,12 @@ Request lifecycle (the admission path the whole design serves):
    :func:`~repro.corpus.cache.result_key_hasher` cache key;
 3. answer from the :class:`ResultCache` on a hit — a warm byte-identical
    re-submission costs one hash, no parse, no validation;
-4. on a miss, validate with the engine the request named — ``stream``
-   (the handle's compiled :class:`~repro.stream.StreamPlan`, the
-   default), ``batch`` (parse-then-validate), ``codegen``
-   (schema-specialized generated code validating the raw bytes), or
-   ``auto`` (codegen when the schema supports it) — the report is
-   byte-identical across engines — and write it through the cache.
-   ``mode`` is the deprecated spelling of ``engine``.
+4. on a miss, validate with the engine the request named — ``auto``
+   (the default) and ``codegen`` run the single-pass engine over the
+   raw bytes, with the handle's scanners; ``batch`` parses, then
+   validates; ``stream`` is a deprecated alias of ``codegen`` — the
+   report is byte-identical across engines — and write it through the
+   cache.  ``mode`` is the deprecated spelling of ``engine``.
 
 Per-request :class:`~repro.obs.Observability` spans and counters are
 absorbed into the server-lifetime handle after every request (the
@@ -106,9 +105,10 @@ class ValidationServer:
         enabled handle to also retain per-request span trees.
     default_mode:
         The engine for validate requests that do not name one —
-        ``"stream"`` (single-pass, the hot default), ``"batch"``,
-        ``"codegen"``, ``"auto"``, or any engine registered through
-        :func:`repro.engines.register` before the server starts.
+        ``"auto"`` (the default: the single-pass codegen engine),
+        ``"codegen"``, ``"batch"``, the deprecated ``"stream"``, or any
+        engine registered through :func:`repro.engines.register` before
+        the server starts.
     sample:
         Trace sampling rate in ``[0, 1]``: the fraction of requests
         that get a per-request tracer and land in the trace store.
@@ -125,7 +125,7 @@ class ValidationServer:
     """
 
     def __init__(self, registry: Optional[SchemaRegistry] = None,
-                 cache=None, obs=None, default_mode: str = "stream",
+                 cache=None, obs=None, default_mode: str = "auto",
                  sample: float = 0.0, slow_ms: float = 500.0,
                  events: Optional[EventLog] = None,
                  trace_capacity: int = 256):
@@ -430,25 +430,21 @@ class ValidationServer:
                         req_obs: Optional[Observability]
                         ) -> "tuple[object, str]":
         """One cache-missing validation; returns ``(report, resolved)``
-        where ``resolved`` is the engine that actually ran (``auto``
-        never survives resolution).  Reports are byte-identical across
+        where ``resolved`` is the engine that actually ran, as
+        :func:`repro.engines.resolve` names it (``auto`` and ``stream``
+        never survive resolution).  Reports are byte-identical across
         engines (the E19/E23 equivalence), so the choice is purely a
         performance knob.  Spans/metrics land on the per-request
         handle; :meth:`_finish_request` folds the metrics into the
         lifetime registry."""
-        if engine == "auto":
-            engine = "codegen" if handle.supports_codegen() \
-                else "stream"
+        from repro import engines as _engines
+
+        engine = _engines.resolve(engine)
         if engine == "codegen":
             from repro.codegen import CodegenValidator
 
             validator = CodegenValidator(handle.codegen, obs=req_obs)
             return validator.validate_bytes(data), "codegen"
-        if engine == "stream":
-            from repro.stream import StreamValidator
-
-            sv = StreamValidator(handle.plan, obs=req_obs)
-            return sv.validate_text(data.decode("utf-8")), "stream"
         if engine == "batch":
             from repro.dtd.validate import validate
             from repro.xmlio.parser import parse_document
@@ -458,8 +454,6 @@ class ValidationServer:
             return validate(tree, handle.dtd, obs=req_obs), "batch"
         # third-party engines (and the unknown-name error) route
         # through the registry
-        from repro import engines as _engines
-
         backend = _engines.create(engine, handle, obs=req_obs)
         return backend.validate(data.decode("utf-8")), engine
 

@@ -14,7 +14,7 @@ fingerprint)`` a first-class, named, versioned object — the
     registry = SchemaRegistry()
     handle = registry.load("book", "schemas/book.dtdc", root="book")
     validator = handle.validator()          # a repro.Validator
-    report = validator.check_stream("doc.xml")
+    report = validator.check("doc.xml", engine="auto")
 
     registry.reload("book", new_text)       # hot swap: version bumps,
     registry.get("book").version            # in-flight holders of the
@@ -97,9 +97,7 @@ class SchemaHandle:
         self.active = True
         self._fingerprint: Optional[str] = None
         self._plan = None
-        #: lazily-compiled codegen artifact: a CompiledSchema, or the
-        #: CompileError that proved the schema outside the codegen
-        #: subset (memoized either way — compile is attempted once)
+        #: the lazily-built codegen scanners (a CompiledSchema)
         self._codegen = None
         self._obs = obs or NULL_OBS
         self._lock = threading.Lock()
@@ -139,15 +137,11 @@ class SchemaHandle:
 
     @property
     def codegen(self):
-        """The generated-code artifact
-        (:class:`~repro.codegen.CompiledSchema`) — compiled once per
-        handle, shared by every engine="codegen" call site; raises
-        :class:`~repro.codegen.CompileError` for schemas outside the
-        codegen subset (the failure is memoized too, so the probe is
-        paid once)."""
-        cached = self._codegen
-        if cached is None:
-            from repro.codegen import CompileError, compile_schema
+        """The codegen scanners (:class:`~repro.codegen.CompiledSchema`)
+        — built once per handle from :attr:`plan`, shared by every
+        ``engine="codegen"`` call site."""
+        if self._codegen is None:
+            from repro.codegen import compile_schema
 
             # resolve plan/fingerprint before taking the lock: both
             # properties lock on first touch themselves
@@ -155,26 +149,9 @@ class SchemaHandle:
             fingerprint = self.fingerprint
             with self._lock:
                 if self._codegen is None:
-                    try:
-                        self._codegen = compile_schema(
-                            plan, fingerprint, obs=self._obs)
-                    except CompileError as exc:
-                        self._codegen = exc
-            cached = self._codegen
-        if isinstance(cached, Exception):
-            raise cached
-        return cached
-
-    def supports_codegen(self) -> bool:
-        """Whether this schema is inside the codegen subset (compiles
-        on first call; the answer is memoized)."""
-        from repro.codegen import CompileError
-
-        try:
-            self.codegen
-        except CompileError:
-            return False
-        return True
+                    self._codegen = compile_schema(
+                        plan, fingerprint, obs=self._obs)
+        return self._codegen
 
     def validator(self, obs=None) -> "Validator":
         """A :class:`repro.Validator` bound to this handle (sharing its
@@ -193,14 +170,10 @@ class SchemaHandle:
                 "active": self.active}
 
     def engines(self) -> "list[str]":
-        """Engine names this handle can serve (registered engines,
-        minus ``codegen``/``auto``'s codegen half when the schema is
-        outside the codegen subset — ``auto`` itself always works, it
-        just resolves to ``stream``)."""
+        """Engine names this handle can serve: every registered one."""
         from repro import engines as _engines
 
-        return [name for name in _engines.names()
-                if name != "codegen" or self.supports_codegen()]
+        return _engines.names()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"<SchemaHandle {self.name!r} v{self.version} "

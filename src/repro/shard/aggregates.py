@@ -11,7 +11,7 @@ of evaluators; a node takes it from the run that produced the
 document's verdict, so every document is validated once.
 :func:`extract_aggregates` builds the same view from a parsed tree:
 the batch engine's export, and the reference the tests compare the
-single-pass engines' exports against.
+single-pass engine's exports against.
 
 The coordinator folds the per-document aggregates, in corpus order,
 into *corpus-level* findings: cross-document ID clashes, references

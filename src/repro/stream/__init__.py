@@ -1,18 +1,20 @@
-"""Streaming single-pass validation.
+"""The compiled form of a ``DTD^C`` for single-pass validation.
 
-Compile ``DTD^C`` once (:func:`compile_plan`), then validate any number
-of documents straight from the token stream in O(depth + |Σ| residual
-state) memory::
+:func:`compile_plan` compiles a schema once into a :class:`StreamPlan`:
+per-label content-model matchers, attribute declarations, and the
+labels and fields Σ reads.  The single-pass engine,
+:mod:`repro.codegen`, builds its scanners from the plan and retains
+Σ-relevant elements as :class:`StreamVertex` objects indexed by a
+:class:`StreamIndex`::
 
-    from repro.stream import StreamValidator, compile_plan
+    from repro import Validator
 
-    plan = compile_plan(dtd)                 # once per schema
-    report = StreamValidator(plan).validate_text(xml_text)
+    report = Validator(dtd).check("doc.xml", engine="codegen")
 
 Reports are byte-identical (``to_json()``) to the batch path
-``validate(parse_document(text, dtd.structure), dtd)``; see
-:mod:`repro.stream.validator` for the ordering argument.  The friendly
-entry point is ``repro.Validator(dtd).check_stream(path_or_text)``.
+``validate(parse_document(text, dtd.structure), dtd)``.
+:class:`StreamValidator` is a deprecated alias that validates through
+codegen; it is removed in repro 2.0.
 """
 
 from repro.stream.plan import LabelPlan, StreamPlan, compile_plan

@@ -2,10 +2,10 @@
 
 Batch validation (Definition 2.4) walks a materialized tree three times:
 once to build the :class:`~repro.datamodel.indexes.AttributeIndex`, once
-for the structural checks, and once per constraint in Σ.  The streaming
-validator makes a single pass over the token stream instead, and this
-module prepares everything that single pass needs to dispatch in O(1)
-per event:
+for the structural checks, and once per constraint in Σ.  The
+single-pass engine (:mod:`repro.codegen`) makes one pass over the
+document instead, and this module prepares everything that pass needs
+to dispatch in O(1) per element:
 
 - per declared element type: the (lazily-determinized) content-model
   :class:`~repro.regexlang.automaton.Matcher`, the declared attribute
@@ -20,12 +20,14 @@ per event:
   bookkeeping cares about): only these vertices are retained past their
   close tag, which is what caps memory at O(depth + |Σ| residual state);
 - which child labels act as §3.4 sub-element fields of which parents,
-  so the validator knows whose text to capture.
+  so the validator knows whose text to capture, and which attributes Σ
+  reads per label, so only those are materialized on retained vertices.
 
 A plan is compiled once per schema and is picklable: the matcher table
 is dropped on ``__getstate__`` and rebuilt lazily from the schema in the
 receiving process (the corpus coordinator compiles once and ships the
-plan to its pool workers via ``initargs``).
+plan to its pool workers via ``initargs``, and each worker builds its
+scanners from it once).
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class LabelPlan:
-    """Everything the streaming pass needs to know about one element type."""
+    """Everything the single pass needs to know about one element type."""
 
     __slots__ = ("label", "declared_attrs", "set_valued", "evaluators",
-                 "elem_fields")
+                 "elem_fields", "watched")
 
     def __init__(self, label: str, declared_attrs: frozenset[str],
                  set_valued: frozenset[str], evaluators: tuple[int, ...],
-                 elem_fields: frozenset[str]):
+                 elem_fields: frozenset[str], watched: frozenset[str]):
         self.label = label
         #: declared attribute names, in the exact ``structure.attributes``
         #: order the batch validator iterates for missing-attribute checks
@@ -66,6 +68,9 @@ class LabelPlan:
         self.evaluators = evaluators
         #: child labels whose text is a §3.4 sub-element field of this type
         self.elem_fields = elem_fields
+        #: attribute names Σ can read on this type: attribute field sites
+        #: plus the declared-ID attribute (``StreamIndex`` reads it)
+        self.watched = watched
 
 
 def _field_sites(ev) -> list[tuple[str, "Field"]]:
@@ -119,10 +124,12 @@ class StreamPlan:
             self.id_map)
 
         elem_fields: dict[str, set[str]] = {}
+        watched: dict[str, set[str]] = {
+            label: {attr} for label, attr in self.id_map.items()}
         for ev in probes:
             for owner, f in _field_sites(ev):
-                if f.is_element:
-                    elem_fields.setdefault(owner, set()).add(f.name)
+                sites = elem_fields if f.is_element else watched
+                sites.setdefault(owner, set()).add(f.name)
 
         self.labels: dict[str, LabelPlan] = {}
         for label in self.structure.element_types:
@@ -134,7 +141,8 @@ class StreamPlan:
                 label, declared,
                 frozenset(a for a in declared
                           if self.structure.is_set_valued(label, a)),
-                interested, frozenset(elem_fields.get(label, ())))
+                interested, frozenset(elem_fields.get(label, ())),
+                frozenset(watched.get(label, ())))
 
         #: child labels captured as text anywhere (union of elem_fields)
         self.text_fields: frozenset[str] = frozenset(

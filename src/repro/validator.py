@@ -16,7 +16,7 @@ question about it reads the same way::
     validator.check(doc, sigma)      # ... against an explicit Sigma
     validator.analyze()              # static schema analysis (lint)
     validator.session(doc)           # incremental revalidation session
-    validator.check_stream("doc.xml")    # single-pass, O(depth) memory
+    validator.check("doc.xml", engine="auto")  # single pass, O(depth)
     validator.check_corpus(docs, jobs=8, cache="~/.cache/repro")
                                      # parallel corpus validation
 
@@ -31,7 +31,7 @@ binds directly to a registry entry::
     registry = repro.SchemaRegistry()
     registry.load("book", "book.dtdc", root="book")
     validator = repro.Validator.from_registry(registry, "book")
-    validator.check_stream("doc.xml")    # follows hot reloads
+    validator.check("doc.xml", engine="auto")  # follows hot reloads
 
 A registry-bound validator re-resolves its handle per call, so a
 ``registry.reload`` is picked up by the *next* operation while any
@@ -161,8 +161,9 @@ class Validator:
         (text is recognized by a leading ``<``; ``engine="batch"`` also
         accepts a :class:`DataTree`) and the full Definition 2.4
         validity is computed by the named backend — ``"batch"``,
-        ``"stream"``, ``"codegen"``, ``"auto"``, or any engine
-        registered through :func:`repro.engines.register` — returning a
+        ``"codegen"``, ``"auto"`` (codegen), the deprecated
+        ``"stream"`` (codegen), or any engine registered through
+        :func:`repro.engines.register` — returning a
         :class:`ValidationReport` that is byte-identical (``to_json()``)
         across the built-in engines.
         """
@@ -191,9 +192,9 @@ class Validator:
 
         warnings.warn(
             "Validator.check_stream() is deprecated and will be removed "
-            "in repro 2.0; use check(source, engine='stream') — or "
-            "engine='auto' for the fastest available backend (see the "
-            "engine table in README.md)",
+            "in repro 2.0; use check(source, engine='auto') — the "
+            "single-pass codegen engine (see the engine table in "
+            "README.md)",
             DeprecationWarning, stacklevel=2)
         return self.check(source, engine="stream")
 
@@ -213,8 +214,9 @@ class Validator:
         bit-identical verdicts, ``0`` means one per CPU); ``cache`` is
         a :class:`~repro.corpus.ResultCache`, a directory path for a
         persistent store, or ``None``.  ``engine`` selects the
-        per-document backend (``"batch"``, ``"stream"``, ``"codegen"``
-        or ``"auto"``; default batch); verdicts are byte-identical
+        per-document backend (``"batch"``, ``"codegen"``, ``"auto"``
+        or the deprecated ``"stream"``, the last two running as codegen;
+        default batch); verdicts are byte-identical
         across engines.  ``stream=True`` is the deprecated spelling of
         ``engine="stream"``.  Returns a
         :class:`~repro.corpus.CorpusReport` with per-document verdicts

@@ -7,7 +7,9 @@ declaration and a DOCTYPE declaration (whose internal subset is captured
 verbatim for the DTD parser).
 
 The tokenizer tracks line numbers for error reporting and resolves
-character/entity references in text and attribute values.
+character/entity references in text and attribute values.  As in
+expat, a leading byte-order mark is skipped and a start tag that
+repeats an attribute name is an error.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Tokenizer:
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.pos = 1 if text.startswith("\ufeff") else 0
         self.line = 1
 
     def _advance(self, upto: int) -> str:
@@ -143,12 +145,18 @@ class Tokenizer:
         name = sys.intern(m.group(0))
         i = m.end()
         attrs: list[tuple[str, str]] = []
+        seen: set[str] = set()
         while True:
             am = _ATTR_RE.match(self.text, i)
             if am is None:
                 break
+            attr = sys.intern(am.group(1))
+            if attr in seen:
+                raise self._error(
+                    f"duplicate attribute {attr!r} in start tag <{name}")
+            seen.add(attr)
             raw = am.group(2)[1:-1]
-            attrs.append((sys.intern(am.group(1)), unescape(raw, self.line)))
+            attrs.append((attr, unescape(raw, self.line)))
             i = am.end()
         i = _WS_RE.match(self.text, i).end()
         if self.text.startswith("/>", i):

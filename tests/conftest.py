@@ -9,17 +9,6 @@ from repro.workloads import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _codegen_cache_in_tmp(tmp_path_factory, monkeypatch):
-    """Keep the codegen source cache out of the developer's real
-    ``~/.cache`` for the whole suite (one shared per-session directory,
-    so cross-test reuse still exercises the disk-cache hit path)."""
-    monkeypatch.setenv(
-        "REPRO_CODEGEN_CACHE",
-        str(tmp_path_factory.getbasetemp() / "codegen-cache"))
-    yield
-
-
 @pytest.fixture
 def book():
     """(DTD^C, document) for the §2.4 book example."""

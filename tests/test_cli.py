@@ -47,6 +47,35 @@ class TestValidate:
         assert main(["validate", "/no/such/file.xml", schema_file]) == 2
 
 
+class TestExpatParity:
+    """Two inputs every engine used to decide differently from expat."""
+
+    ENGINES = ("batch", "codegen", "auto")
+
+    def test_duplicate_attribute_exits_2(self, schema_file, tmp_path,
+                                         capsys):
+        path = tmp_path / "dup.xml"
+        path.write_text(serialize(book_document()).replace(
+            "<ref to=", '<ref to="nowhere" to='))
+        errors = set()
+        for engine in self.ENGINES:
+            assert main(["--root", "book", "validate", str(path),
+                         schema_file, "--engine", engine]) == 2, engine
+            errors.add(capsys.readouterr().err.strip())
+        assert errors == {"error: duplicate attribute 'to' in start tag "
+                          "<ref at line 11"}
+
+    def test_leading_byte_order_mark_is_skipped(self, schema_file,
+                                                tmp_path, capsys):
+        path = tmp_path / "bom.xml"
+        path.write_bytes(b"\xef\xbb\xbf"
+                         + serialize(book_document()).encode("utf-8"))
+        for engine in self.ENGINES:
+            assert main(["--root", "book", "validate", str(path),
+                         schema_file, "--engine", engine]) == 0, engine
+            assert "OK" in capsys.readouterr().out
+
+
 class TestDescribe:
     def test_describe(self, schema_file, capsys):
         assert main(["--root", "book", "describe", schema_file]) == 0

@@ -1,120 +1,41 @@
-"""The codegen engine: determinism, the integrity-checked source
-cache, and byte-identical reports against the streaming interpreter.
+"""The codegen engine: every schema compiles, in-process, and reports
+byte-identically to the batch validator.
 
-The generated module is a pure function of the schema fingerprint —
-two processes (with different ``PYTHONHASHSEED``) must emit
-byte-identical source, or the on-disk cache would be a lottery.  The
-cache itself is self-verifying: a tampered entry must be detected by
-the hash check and regenerated, never ``exec``'d.
+The scanners are built from the schema's plan in the validating
+process — once per schema handle and once per corpus worker — with
+content-model rows filled on first use from the plan's lazy matchers.
+So no schema is outside the engine: non-ASCII names and content models
+whose DFA is exponential validate like any other.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 
-from repro.codegen import (
-    CodegenValidator, CompileError, cache_path, compile_schema,
-    generate_source, load_compiled, load_source, store_source,
-)
+from repro import engines
+from repro.codegen import CodegenValidator, compile_schema
 from repro.dtd.dtdc import DTDC
 from repro.dtd.structure import DTDStructure
+from repro.dtd.validate import validate
+from repro.obs import Observability
 from repro.server.registry import as_handle
-from repro.stream import StreamValidator
+from repro.stream import compile_plan
 from repro.workloads.book import book_document, book_dtdc
+from repro.xmlio.parser import parse_document
 from repro.xmlio.serializer import serialize
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    """Every test gets its own cache directory; nothing leaks into
-    (or reads from) the developer's real ``~/.cache``."""
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cg"))
-    yield
 
 
 def _handle():
     return as_handle(book_dtdc())
 
 
-class TestDeterminism:
-    def test_same_fingerprint_same_source_in_process(self):
-        handle = _handle()
-        one = generate_source(handle.plan, handle.fingerprint)
-        two = generate_source(handle.plan, handle.fingerprint)
-        assert one == two
-
-    def test_byte_identical_across_hash_seeds(self):
-        """Two interpreters with different ``PYTHONHASHSEED`` (so every
-        set/dict iteration order differs) emit byte-identical source."""
-        program = (
-            "import hashlib\n"
-            "from repro.server.registry import as_handle\n"
-            "from repro.codegen import generate_source\n"
-            "from repro.workloads.book import book_dtdc\n"
-            "h = as_handle(book_dtdc())\n"
-            "src = generate_source(h.plan, h.fingerprint)\n"
-            "print(hashlib.sha256(src.encode()).hexdigest())\n")
-        digests = []
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [p for p in (env.get("PYTHONPATH"),) if p]
-                + [str(p) for p in sys.path if p])
-            out = subprocess.run(
-                [sys.executable, "-c", program], env=env,
-                capture_output=True, text=True, check=True)
-            digests.append(out.stdout.strip())
-        assert digests[0] == digests[1]
-        assert len(digests[0]) == 64
+def _batch(dtd, text: str):
+    return validate(parse_document(text, dtd.structure), dtd)
 
 
-class TestSourceCache:
-    def test_round_trip(self):
-        handle = _handle()
-        source = generate_source(handle.plan, handle.fingerprint)
-        assert store_source(handle.fingerprint, source)
-        assert load_source(handle.fingerprint) == source
-
-    def test_corrupted_entry_is_a_miss_and_never_exec_d(self, tmp_path):
-        handle = _handle()
-        source = generate_source(handle.plan, handle.fingerprint)
-        assert store_source(handle.fingerprint, source)
-        path = cache_path(handle.fingerprint)
-        # Tamper with the body after the (still well-formed) header:
-        # the sha256 check must reject it.  The poison would raise at
-        # import time if it were ever exec'd.
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
-        poison = "raise AssertionError('cache poison was exec-d')\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + poison)
-        assert load_source(handle.fingerprint) is None
-        # compile_schema treats it as a miss, regenerates, and heals
-        # the entry on disk.
-        compiled = compile_schema(handle.plan, handle.fingerprint)
-        assert compiled.source == source
-        assert load_source(handle.fingerprint) == source
-
-    def test_bad_header_is_a_miss(self):
-        handle = _handle()
-        source = generate_source(handle.plan, handle.fingerprint)
-        assert store_source(handle.fingerprint, source)
-        path = cache_path(handle.fingerprint)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# not a repro-codegen header\n" + source)
-        assert load_source(handle.fingerprint) is None
-
-    def test_disabled_cache_still_compiles(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_CACHE", "off")
-        handle = _handle()
-        assert cache_path(handle.fingerprint) is None
-        assert not store_source(handle.fingerprint, "x = 1\n")
-        compiled = compile_schema(handle.plan, handle.fingerprint)
-        report = CodegenValidator(compiled).validate(
-            serialize(book_document()))
-        assert report.ok
+def _outcome(fn):
+    try:
+        return fn().to_json(), None
+    except Exception as exc:  # noqa: BLE001 - parity check
+        return None, (type(exc), str(exc))
 
 
 class TestEquivalence:
@@ -135,92 +56,194 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("text", CASES)
     def test_text_reports_byte_identical_to_stream(self, text):
+        """Codegen, the deprecated ``stream`` engine name (an alias of
+        codegen) and the batch reference give the same report or the
+        same error."""
         handle = _handle()
+        expected = _outcome(lambda: _batch(handle.dtd, text))
         cg = CodegenValidator(handle)
-        sv = StreamValidator(handle.plan)
-        try:
-            expected = sv.validate_text(text).to_json()
-            expected_exc = None
-        except Exception as exc:  # noqa: BLE001 - parity check
-            expected, expected_exc = None, (type(exc), str(exc))
-        try:
-            got = cg.validate_text(text).to_json()
-            got_exc = None
-        except Exception as exc:  # noqa: BLE001 - parity check
-            got, got_exc = None, (type(exc), str(exc))
-        assert got == expected
-        assert got_exc == expected_exc
+        assert _outcome(lambda: cg.validate_text(text)) == expected
+        if text.startswith("<"):  # engines take anything else as a path
+            stream = engines.create("stream", handle)
+            assert _outcome(lambda: stream.validate(text)) == expected
 
     def test_mmap_path_matches_text(self, tmp_path):
         handle = _handle()
         cg = CodegenValidator(handle)
-        sv = StreamValidator(handle.plan)
         text = serialize(book_document())
         path = tmp_path / "doc.xml"
         path.write_text(text)
         assert cg.validate_path(str(path)).to_json() \
-            == sv.validate_text(text).to_json()
+            == _batch(handle.dtd, text).to_json()
 
     def test_empty_file(self, tmp_path):
         handle = _handle()
         cg = CodegenValidator(handle)
         path = tmp_path / "empty.xml"
         path.write_text("")
-        sv = StreamValidator(handle.plan)
-        try:
-            expected = sv.validate_text("").to_json()
-            expected_err = None
-        except Exception as exc:  # noqa: BLE001 - parity check
-            expected, expected_err = None, str(exc)
-        try:
-            got = cg.validate_path(str(path)).to_json()
-            got_err = None
-        except Exception as exc:  # noqa: BLE001 - parity check
-            got, got_err = None, str(exc)
-        assert (got, got_err) == (expected, expected_err)
+        assert _outcome(lambda: cg.validate_path(str(path))) \
+            == _outcome(lambda: _batch(handle.dtd, ""))
 
     def test_non_ascii_bytes_fall_back_to_decoded_scan(self):
         handle = _handle()
         cg = CodegenValidator(handle)
-        sv = StreamValidator(handle.plan)
         text = ("<book><entry isbn='é'><title>café</title>"
                 "<publisher>p</publisher></entry><ref to='é'/>"
                 "</book>")
         data = text.encode("utf-8")
         assert cg.validate_bytes(data).to_json() \
-            == sv.validate_text(text).to_json()
+            == _batch(handle.dtd, text).to_json()
 
-    def test_load_compiled_binds_shipped_source(self):
-        """The corpus-worker path: source text + plan, no generator,
-        no disk cache."""
+    def test_compile_schema_binds_a_shipped_plan(self):
+        """The corpus-worker path: a plan (as a worker receives it) is
+        all the scanners need; no handle, no registry."""
         handle = _handle()
-        source = generate_source(handle.plan, handle.fingerprint)
-        compiled = load_compiled(handle.fingerprint, source, handle.plan)
+        plan = compile_plan(handle.dtd)
+        compiled = compile_schema(plan, handle.fingerprint)
+        assert compiled.plan is plan
         text = serialize(book_document())
         assert CodegenValidator(compiled).validate(text).to_json() \
-            == StreamValidator(handle.plan).validate_text(text).to_json()
+            == _batch(handle.dtd, text).to_json()
+
+
+def _non_ascii_dtdc() -> DTDC:
+    s = DTDStructure("café")
+    s.define_element("café", "(tasse*)")
+    s.define_element("tasse", "(#PCDATA)?")
+    s.define_attribute("tasse", "größe")
+    s.check()
+    return DTDC(s, ())
+
+
+def _blowup_dtdc() -> DTDC:
+    """``(a|b)*, a`` then 13 × ``(a|b)``: the DFA remembers the last 14
+    children, so it has 2^14 states; documents reach only a few."""
+    s = DTDStructure("r")
+    s.define_element("r", "((a|b)*, a" + ", (a|b)" * 13 + ")")
+    s.define_element("a", "EMPTY")
+    s.define_element("b", "EMPTY")
+    s.check()
+    return DTDC(s, ())
 
 
 class TestCompileSubset:
-    def test_non_ascii_schema_raises_compile_error(self):
-        s = DTDStructure("café")
-        s.define_element("café", "S*")
-        handle = as_handle(DTDC(s, ()))
-        with pytest.raises(CompileError):
-            generate_source(handle.plan, handle.fingerprint)
-        assert not handle.supports_codegen()
+    def test_non_ascii_schema_compiles(self):
+        dtd = _non_ascii_dtdc()
+        handle = as_handle(dtd)
+        for text in ("<café><tasse größe='1'>x</tasse></café>",
+                     "<café><tasse/></café>",   # missing größe
+                     "<café/>", "<cafe/>"):
+            expected = _batch(dtd, text).to_json()
+            assert engines.create("codegen", handle).validate(
+                text).to_json() == expected
+            # ASCII bytes take the bytes scanner, whose tables leave
+            # the non-ASCII names out
+            data = text.encode("utf-8")
+            assert CodegenValidator(handle).validate_bytes(
+                data).to_json() == expected
 
-    def test_auto_falls_back_to_stream(self):
-        from repro import engines
+    def test_exponential_content_model_fills_rows_lazily(self):
+        from repro.regexlang.automaton import clear_matcher_cache
 
-        s = DTDStructure("café")
-        s.define_element("café", "S*")
-        handle = as_handle(DTDC(s, ()))
+        clear_matcher_cache()  # a fresh matcher counts only our states
+        dtd = _blowup_dtdc()
+        handle = as_handle(dtd)
+        cg = CodegenValidator(handle)
+        matcher = handle.plan.matchers["r"]
+        valid = "<r>" + "<b/><a/>" * 500 + "<a/>" + "<b/>" * 13 + "</r>"
+        invalid = "<r>" + "<a/><b/>" * 500 + "<b/>" * 14 + "</r>"
+        for text in (valid, invalid):
+            expected = _batch(dtd, text).to_json()
+            assert cg.validate_text(text).to_json() == expected
+            assert cg.validate_bytes(text.encode()).to_json() == expected
+        assert '"ok": true' in _batch(dtd, valid).to_json()
+        assert '"ok": false' in _batch(dtd, invalid).to_json()
+        assert len(matcher.rows) < 100  # of 2^14 states
+
+    def test_auto_resolves_to_codegen(self):
+        handle = as_handle(_non_ascii_dtdc())
         backend = engines.create("auto", handle)
-        assert backend.name == "stream"
+        assert backend.name == "codegen"
         assert backend.validate("<café/>").ok
 
     def test_supported_schema_reports_codegen(self):
         handle = _handle()
-        assert handle.supports_codegen()
         assert handle.engines() == ["auto", "batch", "codegen", "stream"]
+        assert as_handle(_blowup_dtdc()).engines() == handle.engines()
+
+
+class TestCompilations:
+    def test_one_build_per_handle(self):
+        obs = Observability()
+        from repro.server.registry import SchemaHandle
+
+        handle = SchemaHandle(book_dtdc(), obs=obs)
+        assert handle.codegen is handle.codegen
+        (metric,) = [m for m in obs.metrics.to_dicts()
+                     if m["name"] == "codegen_compilations"]
+        assert metric["value"] == 1
+        assert metric["labels"] == {}
+
+
+class TestDeprecatedStreamValidator:
+    def test_warns_and_validates_through_codegen(self):
+        from repro.stream import StreamValidator
+
+        dtd = book_dtdc()
+        text = serialize(book_document())
+        with pytest.warns(DeprecationWarning, match="removed in repro 2.0"):
+            sv = StreamValidator(dtd)
+        assert sv.validate_text(text).to_json() \
+            == _batch(dtd, text).to_json()
+        assert sv.last_run is not None  # a codegen RunState
+        assert type(sv.last_run).__module__ == "repro.codegen.runtime"
+        with pytest.raises(TypeError):
+            sv.validate_text(text, keep_whitespace=True)
+
+
+class TestConcurrentScanning:
+    def test_threads_grow_one_shared_matcher_consistently(self):
+        """The scanners step the process-wide matchers directly, and a
+        row fills on first use: threads validating at once against a
+        fresh exponential content model discover its states without
+        losing or duplicating one."""
+        import random
+        import sys
+        import threading
+
+        from repro.regexlang.automaton import clear_matcher_cache
+
+        rnd = random.Random(5)
+        docs = ["<r>" + "".join(rnd.choice(("<a/>", "<b/>"))
+                                for _ in range(150)) + "</r>"
+                for _ in range(12)]
+        expected = [_batch(_blowup_dtdc(), d).to_json() for d in docs]
+        clear_matcher_cache()  # the threads start from state 0 alone
+        handle = as_handle(_blowup_dtdc())
+        cg = CodegenValidator(handle)
+        got: dict = {}
+
+        def work(k):
+            order = docs[k:] + docs[:k]
+            got[k] = [cg.validate_bytes(d.encode()).to_json()
+                      for d in order]
+
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(8):
+            assert got[k] == expected[k:] + expected[:k]
+        m = handle.plan.matchers["r"]
+        assert len(m.rows) == len(m.accepting) == len(m._state_list) \
+            == len(m._states)
+        assert all(m._states[subset] == i
+                   for i, subset in enumerate(m._state_list))

@@ -1,4 +1,4 @@
-"""The codegen scanner against the other engines, on awkward input.
+"""The codegen scanner against the batch engine, on awkward input.
 
 Properties of the one-regex-per-tag scanner in
 :mod:`repro.codegen.runtime` and of the tables it runs over:
@@ -9,20 +9,23 @@ Properties of the one-regex-per-tag scanner in
   scanner as well, in every position: between attributes, between
   siblings, after the root and inside an end tag.
 - **Mutated documents.**  Five views of one document — codegen over
-  text, bytes and an mmapped path, the stream engine and the batch
-  engine — yield the same report JSON or the same exception type and
-  message, over generator documents mutated with markup, quoting,
-  entity, whitespace, duplicate-attribute, stray-character and
-  truncation edits; text after a Σ-irrelevant run reports its errors
-  at the line the tokenizer does.
+  text, bytes and an mmapped path, and the batch engine over the text
+  and over the file — yield the same report JSON or the same exception
+  type and message, over generator documents (and documents of
+  schemas with non-ASCII names or an exponential content model)
+  mutated with markup, quoting, entity, whitespace,
+  duplicate-attribute, stray-character and truncation edits; text
+  after a Σ-irrelevant run reports its errors at the line the
+  tokenizer does.
 - **Batched constraint feed.**  Closed Σ-relevant vertices reach the
   evaluators in batches; documents longer than one batch, and
   Σ-relevant elements nested in Σ-relevant ones (sub-element fields),
   match batch, and with observability on the per-constraint evaluator
-  counters and per-label dispatch counters match the stream engine's.
-- **Generated tables.**  A generated module is literal tables plus one
-  import, and a cache entry stamped by the previous generator version
-  is a miss.
+  counters match batch's and the per-label dispatch counters count the
+  document's Σ-relevant elements.
+- **Bounded runs.**  A Σ-irrelevant run longer than one run match is
+  consumed in several, with the parent content model stepped across
+  them.
 """
 
 import os
@@ -33,11 +36,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import (
-    GENERATOR_VERSION, CodegenValidator, CompileError, cache_path,
-    compile_schema, generate_source, load_source,
-)
-from repro.codegen.runtime import FLUSH_BATCH
+from repro import engines
+from repro.codegen import CodegenValidator
+from repro.codegen.runtime import FLUSH_BATCH, RUN_MAX
 from repro.constraints.base import Field
 from repro.constraints.lang_l import Key
 from repro.constraints.lang_lu import UnaryForeignKey, UnaryKey
@@ -46,18 +47,11 @@ from repro.dtd.structure import DTDStructure
 from repro.dtd.validate import validate
 from repro.obs import Observability
 from repro.server.registry import as_handle
-from repro.stream import StreamValidator
 from repro.workloads.generators import (
     library_schema, random_check_sigma, random_document, random_structure,
 )
 from repro.xmlio import serialize
 from repro.xmlio.parser import parse_document
-
-
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "cg"))
-    yield
 
 
 def _outcome(fn):
@@ -69,8 +63,8 @@ def _outcome(fn):
 
 
 def _views(dtd, cg, text: str) -> dict:
-    """The five views of ``text``: codegen text/bytes/path, stream,
-    batch."""
+    """The five views of ``text``: codegen text/bytes/path, batch over
+    the text and batch over the file."""
     data = text.encode("utf-8")
     fd, path = tempfile.mkstemp(suffix=".xml")
     try:
@@ -80,10 +74,10 @@ def _views(dtd, cg, text: str) -> dict:
             "codegen-text": _outcome(lambda: cg.validate_text(text)),
             "codegen-bytes": _outcome(lambda: cg.validate_bytes(data)),
             "codegen-path": _outcome(lambda: cg.validate_path(path)),
-            "stream": _outcome(
-                lambda: StreamValidator(cg.compiled.plan).validate_text(text)),
             "batch": _outcome(
                 lambda: validate(parse_document(text, dtd.structure), dtd)),
+            "batch-path": _outcome(
+                lambda: engines.create("batch", dtd).validate(path)),
         }
     finally:
         os.unlink(path)
@@ -194,6 +188,37 @@ class TestErrorLines:
             "bare '&' in character data (use &amp;) at line 3")
 
 
+    @pytest.mark.parametrize("tag", [
+        "<entry isbn='a' shelf='s' isbn='b'/>",
+        # rejected by the one-regex match: the replay finds it
+        "<entry isbn='a' isbn='b' junk/>",
+        # the first error in document order wins
+        "<entry isbn='&bogus;' isbn='b' shelf='s'/>",
+        "<entry isbn='a' isbn='&bogus;' shelf='s'/>",
+    ])
+    def test_duplicate_attribute_is_a_located_error(self, tag):
+        dtd = library_schema()
+        views = _views(dtd, CodegenValidator(as_handle(dtd)),
+                       f"<library>\n{tag}\n</library>")
+        _assert_agree(views)
+        assert views["batch"][0] == "error"
+        assert views["batch"][2].endswith("at line 2")
+
+
+    @pytest.mark.parametrize("text, ok", [
+        ("\ufeff<library><entry isbn='a' shelf='s'/></library>", True),
+        ("\ufeff\n<library/>\n", True),
+        # only a leading mark is skipped
+        ("<library/>\ufeff", False),
+        ("\ufeff\ufeff<library/>", False),
+    ])
+    def test_leading_byte_order_mark_is_skipped(self, text, ok):
+        dtd = library_schema()
+        views = _views(dtd, CodegenValidator(as_handle(dtd)), text)
+        _assert_agree(views)
+        assert (views["batch"][0] == "report") is ok
+
+
 # -- hypothesis equivalence over mutated documents -------------------------
 
 
@@ -299,6 +324,53 @@ MUTATIONS = {
 }
 
 
+def _non_ascii_dtdc() -> DTDC:
+    """Non-ASCII element and attribute names (each starting with an
+    ASCII letter, as the tokenizer's names do), keyed and referenced."""
+    s = DTDStructure("bücherei")
+    s.define_element("bücherei", "(buch*, ausleihe*)")
+    s.define_element("buch", "(titel, (#PCDATA)?)")
+    s.define_element("titel", "(#PCDATA)")
+    s.define_element("ausleihe", "EMPTY")
+    s.define_attribute("buch", "nümmer")
+    s.define_attribute("ausleihe", "für")
+    s.check()
+    return DTDC(s, [
+        UnaryKey("buch", Field("nümmer")),
+        UnaryForeignKey("ausleihe", Field("für"), "buch", Field("nümmer")),
+    ])
+
+
+def _blowup_dtdc() -> DTDC:
+    """``(a|b)*, a`` followed by 13 × ``(a|b)``: 2^14 DFA states."""
+    s = DTDStructure("r")
+    s.define_element("r", "((a|b)*, a" + ", (a|b)" * 13 + ")")
+    s.define_element("a", "(#PCDATA)?")
+    s.define_element("b", "EMPTY")
+    s.define_attribute("b", "k")
+    s.check()
+    return DTDC(s, [UnaryKey("b", Field("k"))])
+
+
+FORMERLY_EXCLUDED = {
+    "non-ascii": (_non_ascii_dtdc, [
+        '<bücherei><buch nümmer="1"><titel>Faust</titel></buch>'
+        '<buch nümmer="2"><titel>Woyzeck</titel>x</buch>'
+        '<ausleihe für="2"/></bücherei>',
+        '<bücherei>\n <buch nümmer="1"><titel>a</titel></buch>\n'
+        ' <buch nümmer="1"><titel>b</titel></buch>\n'
+        ' <ausleihe für="9"/>\n</bücherei>\n',
+        # ASCII documents of the same schema take the bytes scanner
+        '<bucherei><buch nummer="1"><titel>t</titel></buch></bucherei>',
+    ]),
+    "blowup": (_blowup_dtdc, [
+        "<r>" + '<b k="1"/><a>x</a>' * 40 + "<a/>"
+        + "".join(f'<b k="{i}"/>' for i in range(2, 15)) + "</r>",
+        "<r>" + "<a/>" * 30 + '<b k="1"/>' * 14 + "</r>",
+    ]),
+}
+
+
 def _instance(seed: int):
     from repro.errors import ConstraintError
 
@@ -322,10 +394,23 @@ class TestMutatedDocumentEquivalence:
         instance = _instance(seed)
         assume(instance is not None)
         dtd, text = instance
-        try:
-            cg = CodegenValidator(as_handle(dtd))
-        except CompileError:
-            assume(False)
+        cg = CodegenValidator(as_handle(dtd))
+        for name in mutations:
+            text = MUTATIONS[name](text, rnd)
+        _assert_agree(_views(dtd, cg, text))
+
+    @given(st.sampled_from(sorted(FORMERLY_EXCLUDED)),
+           st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1,
+                    max_size=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_formerly_excluded_schemas(self, case, mutations, rnd):
+        """Schemas the engine once refused to compile — non-ASCII names,
+        an exponential content model — over mutated documents."""
+        make, texts = FORMERLY_EXCLUDED[case]
+        dtd = make()
+        cg = CodegenValidator(as_handle(dtd))
+        text = rnd.choice(texts)
         for name in mutations:
             text = MUTATIONS[name](text, rnd)
         _assert_agree(_views(dtd, cg, text))
@@ -422,54 +507,57 @@ class TestFlushBatches:
             + [n % FLUSH_BATCH]
 
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
-    def test_obs_counters_match_stream(self, case):
+    def test_obs_counters_match_batch(self, case):
         make, text = BATCH_CASES[case]
         dtd = make()
         handle = as_handle(dtd)
-        cg_obs, sv_obs = Observability(), Observability()
+        cg_obs, batch_obs = Observability(), Observability()
         cg = CodegenValidator(handle, obs=cg_obs).validate_text(text)
-        sv = StreamValidator(handle.plan, obs=sv_obs).validate_text(text)
-        assert cg.to_json() == sv.to_json()
+        tree = parse_document(text, dtd.structure)
+        batch = validate(tree, dtd, obs=batch_obs)
+        assert cg.to_json() == batch.to_json()
         for name in ("evaluator_index_hits", "evaluator_index_misses",
                      "evaluator_violations"):
             got = cg_obs.metrics.values(name)
-            assert got and got == sv_obs.metrics.values(name), name
+            assert got and got == batch_obs.metrics.values(name), name
         dispatched = cg_obs.metrics.values("codegen_dispatch_vertices")
-        assert dispatched \
-            == sv_obs.metrics.values("stream_dispatch_vertices")
+        assert dispatched == {
+            (("label", label),): sum(
+                1 for v in tree.vertices() if v.label == label)
+            for label in handle.plan.relevant}
 
 
-# -- generated source and its cache ----------------------------------------
+# -- bounded runs ------------------------------------------------------------
 
 
-class TestGeneratedTables:
-    def test_source_is_tables_plus_an_import(self):
-        handle = as_handle(library_schema())
-        source = generate_source(handle.plan, handle.fingerprint)
-        assert "from repro.codegen.runtime import scanners" in source
-        assert "def scan(" not in source
-        assert f"GENERATOR_VERSION = {GENERATOR_VERSION}" in source
+class TestBoundedRuns:
+    """A run of Σ-irrelevant leaves longer than :data:`RUN_MAX` takes
+    several run matches; the parent's content model is stepped across
+    all of them, dying (or not) where batch says."""
 
-    def test_previous_version_entry_is_a_miss(self):
-        """A well-formed, hash-valid entry stamped by the previous
-        generator is never served: the cache regenerates the source."""
-        import hashlib
+    @pytest.mark.parametrize("n", [RUN_MAX - 1, RUN_MAX, RUN_MAX + 1,
+                                   3 * RUN_MAX + 17])
+    def test_long_runs_match_batch(self, n):
+        from repro.xmlio.dtdparse import parse_dtdc
 
-        handle = as_handle(library_schema())
-        path = cache_path(handle.fingerprint)
-        stale = "raise AssertionError('previous-version source exec-d')\n"
-        digest = hashlib.sha256(stale.encode("utf-8")).hexdigest()
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        header = f"# repro-codegen v{GENERATOR_VERSION - 1} sha256={digest}\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + stale)
-        # the previous generator's own file name is never read either
-        old_path = path.replace(f".g{GENERATOR_VERSION}.py",
-                                f".g{GENERATOR_VERSION - 1}.py")
-        with open(old_path, "w", encoding="utf-8") as fh:
-            fh.write(header + stale)
-        assert load_source(handle.fingerprint) is None
-        compiled = compile_schema(handle.plan, handle.fingerprint)
-        assert compiled.source == generate_source(handle.plan,
-                                                  handle.fingerprint)
-        assert load_source(handle.fingerprint) == compiled.source
+        dtd = parse_dtdc(FEED_SCHEMA)
+        cg = CodegenValidator(as_handle(dtd))
+        items = "".join("<item>p</item>\n" if i % 3 else "<item/>"
+                        for i in range(n))
+        for text in (
+                f"<feed>{items}<entry sku='a'/><ref to='a'/></feed>",
+                # the parent dies inside the run, after an entry
+                f"<feed><entry sku='a'/>{items}<ref to='b'/></feed>"):
+            views = _views(dtd, cg, text)
+            _assert_agree(views)
+            assert views["batch"][0] == "report"
+
+    def test_skip_counter_counts_every_element(self):
+        from repro.xmlio.dtdparse import parse_dtdc
+
+        cg = CodegenValidator(as_handle(parse_dtdc(FEED_SCHEMA)))
+        n = 2 * RUN_MAX + 5
+        cg.validate_bytes(("<feed>" + "<item>x</item>" * n
+                           + "</feed>").encode())
+        assert cg.last_run.n_skipped == n
+        assert cg.last_run.next_vid == n + 1

@@ -20,12 +20,6 @@ from repro.workloads.book import book_document, book_dtdc
 from repro.xmlio.serializer import serialize
 
 
-@pytest.fixture(autouse=True)
-def _no_disk_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN_CACHE", "0")
-    yield
-
-
 TEXT = serialize(book_document())
 
 
@@ -47,9 +41,7 @@ class TestRegistry:
 
             def validate(self, source):
                 calls.append(source)
-                from repro.stream import StreamValidator
-
-                return StreamValidator(self.handle.plan).validate(source)
+                return engines.create("batch", self.handle).validate(source)
 
         engines.register("recorder", Recorder)
         try:
@@ -75,6 +67,14 @@ class TestRegistry:
             engines.register("stream", lambda handle, obs=None: None)
         with pytest.raises(ReproError, match="built-in"):
             engines.unregister("batch")
+
+    def test_auto_and_stream_resolve_to_codegen(self):
+        assert engines.resolve("auto") == "codegen"
+        assert engines.resolve("stream") == "codegen"
+        for name in ("batch", "codegen", "psychic"):
+            assert engines.resolve(name) == name
+        for name in ("auto", "stream"):
+            assert engines.create(name, book_dtdc()).name == "codegen"
 
     def test_invalid_name_rejected(self):
         with pytest.raises(ReproError, match="invalid engine name"):
@@ -137,6 +137,15 @@ class TestValidatorFacade:
             verdicts[name] = v.check_corpus(
                 docs, engine=name).verdicts_json()
         assert len(set(verdicts.values())) == 1
+
+    def test_corpus_reports_the_resolved_engine(self):
+        from repro.corpus import CorpusValidator
+
+        for name in ("auto", "stream", "codegen"):
+            assert CorpusValidator(book_dtdc(), engine=name).engine \
+                == "codegen"
+        assert CorpusValidator(book_dtdc(), stream=True).engine \
+            == "codegen"
 
     def test_check_corpus_engine_and_stream_conflict(self):
         v = Validator(book_dtdc())

@@ -329,7 +329,7 @@ class TestEngineSelection:
                                                  facade_report):
         server = make_server()
         want = json.dumps(facade_report, sort_keys=True)
-        for engine, resolved in (("batch", "batch"), ("stream", "stream"),
+        for engine, resolved in (("batch", "batch"), ("stream", "codegen"),
                                  ("codegen", "codegen"),
                                  ("auto", "codegen")):
             payload, status = server.handle_request(

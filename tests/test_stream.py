@@ -1,12 +1,13 @@
-"""Tests for :mod:`repro.stream` — the compiled per-label plan and the
-single-pass streaming validator.
+"""Tests for :mod:`repro.stream` — the compiled per-label plan — and
+the single-pass validation the codegen engine runs over it.
 
-The load-bearing promise is *byte identity*: for every document,
-``StreamValidator(...).validate_text(text).to_json()`` equals the batch
-``validate(parse_document(text, S), dtd).to_json()`` — same violations,
-same messages, same order.  The randomized side of that promise lives in
-``test_stream_equivalence.py``; this file pins the deliberate cases and
-the plumbing (plan compilation, pickling, the facade, interning, obs).
+The load-bearing promise is *byte identity*: for every document, the
+single pass (``CodegenValidator(...).validate_text(text).to_json()``)
+equals the batch ``validate(parse_document(text, S), dtd).to_json()`` —
+same violations, same messages, same order.  The randomized side of
+that promise lives in ``test_stream_equivalence.py``; this file pins
+the deliberate cases and the plumbing (plan compilation, pickling, the
+facade, interning).
 """
 
 import pickle
@@ -14,10 +15,11 @@ import pickle
 import pytest
 
 from repro import Validator
+from repro.codegen import CodegenValidator, compile_schema
 from repro.dtd.validate import validate
 from repro.errors import XMLSyntaxError
-from repro.obs import Observability
-from repro.stream import StreamPlan, StreamValidator, compile_plan
+from repro.server.registry import as_handle
+from repro.stream import StreamPlan, compile_plan
 from repro.xmlio import serialize
 from repro.xmlio.dtdparse import parse_dtdc
 from repro.xmlio.parser import parse_document
@@ -39,10 +41,15 @@ def lib():
     return parse_dtdc(LIB_SCHEMA)
 
 
+def _single_pass(plan) -> CodegenValidator:
+    return CodegenValidator(
+        compile_schema(plan, as_handle(plan.dtd).fingerprint))
+
+
 def _both(dtd, text):
-    """(batch_json, stream_json) for one document/schema pair."""
+    """(batch_json, single_pass_json) for one document/schema pair."""
     batch = validate(parse_document(text, dtd.structure), dtd)
-    stream = StreamValidator(compile_plan(dtd)).validate_text(text)
+    stream = _single_pass(compile_plan(dtd)).validate_text(text)
     return batch.to_json(), stream.to_json()
 
 
@@ -71,8 +78,8 @@ class TestStreamPlan:
         assert clone._matchers is None
         text = ('<library><entry isbn="1" shelf="a">x</entry>'
                 '<ref to="1"/></library>')
-        assert StreamValidator(clone).validate_text(text).to_json() \
-            == StreamValidator(plan).validate_text(text).to_json()
+        assert _single_pass(clone).validate_text(text).to_json() \
+            == _single_pass(plan).validate_text(text).to_json()
 
 
 # -- byte identity on deliberate cases --------------------------------------
@@ -108,14 +115,6 @@ class TestByteIdentity:
         b, s = _both(lib, text)
         assert b == s
 
-    def test_keep_whitespace_parity(self, lib):
-        text = '<library>\n  <entry isbn="1" shelf="a"/>\n</library>'
-        batch = validate(parse_document(text, lib.structure,
-                                        keep_whitespace=True), lib)
-        stream = StreamValidator(compile_plan(lib)) \
-            .validate_text(text, keep_whitespace=True)
-        assert batch.to_json() == stream.to_json()
-
 
 class TestWellformedness:
     """Malformed input raises the same ``XMLSyntaxError`` (message and
@@ -134,7 +133,7 @@ class TestWellformedness:
         with pytest.raises(XMLSyntaxError) as batch_err:
             parse_document(text, lib.structure)
         with pytest.raises(XMLSyntaxError) as stream_err:
-            StreamValidator(compile_plan(lib)).validate_text(text)
+            _single_pass(compile_plan(lib)).validate_text(text)
         assert str(stream_err.value) == str(batch_err.value)
 
 
@@ -196,25 +195,7 @@ class TestInterning:
 
 
 class TestStreamObservability:
-    def test_counters_and_spans(self, lib):
-        obs = Observability()
-        StreamValidator(compile_plan(lib), obs=obs).validate_text(
-            '<library><entry isbn="1" shelf="a">x</entry>'
-            '<ref to="1"/></library>')
-        metrics = {m["name"]: m for m in obs.metrics.to_dicts()
-                   if not m["labels"]}
-        assert metrics["stream_events"]["value"] >= 5
-        assert metrics["stream_elements"]["value"] == 3
-        names = set()
-        todo = list(obs.tracer.to_dicts())
-        while todo:
-            span = todo.pop()
-            names.add(span["name"])
-            todo.extend(span["children"])
-        assert {"stream.validate", "stream.emit",
-                "stream.dispatch"} <= names
-
     def test_no_obs_still_validates(self, lib):
-        report = StreamValidator(compile_plan(lib)).validate_text(
+        report = _single_pass(compile_plan(lib)).validate_text(
             "<library/>")
         assert report.ok  # (entry*, ref*) accepts the empty word

@@ -1,8 +1,8 @@
 """Property-based round trips for witness synthesis.
 
 Random satisfiable schemas must yield witnesses every pipeline agrees
-are clean: batch validation, the streaming validator over the
-serialized text, and a DocumentSession replay — with byte-identical
+are clean: batch validation, the single-pass (codegen) validator over
+the serialized text, and a DocumentSession replay — with byte-identical
 reports.  And on random *unsatisfiable* schemas, removing the reported
 unsat core must restore satisfiability (the ISSUE acceptance bar).
 """
@@ -10,10 +10,11 @@ unsat core must restore satisfiability (the ISSUE acceptance bar).
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.codegen import CodegenValidator
 from repro.dtd.dtdc import DTDC
 from repro.dtd.validate import validate
 from repro.incremental.session import DocumentSession
-from repro.stream import StreamValidator, compile_plan
+from repro.server.registry import as_handle
 from repro.synthesis import Verdict, check_satisfiability
 from repro.workloads.generators import (
     random_check_sigma, random_satisfiable_dtdc, random_structure,
@@ -52,7 +53,7 @@ class TestWitnessRoundTrip:
         dtd, doc = instance
         text = serialize(doc)
         batch = validate(parse_document(text, dtd.structure), dtd)
-        stream = StreamValidator(compile_plan(dtd)).validate_text(text)
+        stream = CodegenValidator(as_handle(dtd)).validate_text(text)
         assert stream.to_json() == batch.to_json()
         assert stream.ok
 
