@@ -46,8 +46,6 @@ Quickstart::
     assert engine.finitely_implies(phi)     # ... but finitely implied.
 """
 
-import warnings as _warnings
-
 from repro.analysis import (
     AnalysisReport, Diagnostic, LintConfig, Severity, analyze,
 )
@@ -88,18 +86,17 @@ from repro.validator import Validator
 from repro.workloads import book_document, book_dtdc
 from repro.xmlio import parse_document, parse_dtd, parse_dtdc, serialize
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisReport", "Diagnostic", "LintConfig", "Severity", "analyze",
     "Constraint", "Field", "ForeignKey", "IDConstraint", "IDForeignKey",
     "IDInverse", "IDSetValuedForeignKey", "Inverse", "Key", "Language",
-    "SetValuedForeignKey", "UnaryForeignKey", "UnaryKey", "attr", "check",
-    "check_constraint", "elem", "parse_constraint", "parse_constraints",
-    "well_formed",
+    "SetValuedForeignKey", "UnaryForeignKey", "UnaryKey", "attr", "elem",
+    "parse_constraint", "parse_constraints", "well_formed",
     "CorpusReport", "CorpusValidator", "ResultCache",
     "DataTree", "TreeBuilder", "Vertex",
-    "DTDC", "DTDStructure", "ValidationReport", "validate",
+    "DTDC", "DTDStructure", "ValidationReport",
     "ReproError",
     "Derivation", "ImplicationResult", "LGeneralEngine", "LidEngine",
     "LPrimaryEngine", "LuEngine", "LuPrimaryEngine",
@@ -115,42 +112,3 @@ __all__ = [
     "parse_document", "parse_dtd", "parse_dtdc", "serialize",
     "__version__",
 ]
-
-#: Legacy top-level entry points, kept importable through the module
-#: ``__getattr__`` below.  Each maps to its lazy import and the
-#: Validator-facade replacement named in the DeprecationWarning; the
-#: removal version makes the schedule part of the contract.
-_DEPRECATED = {
-    "validate": ("repro.dtd", "validate",
-                 "Validator(dtd).validate(doc)"),
-    "check": ("repro.constraints", "check",
-              "Validator(dtd).check(doc)"),
-    "check_constraint": ("repro.constraints", "check_constraint",
-                         "Validator(dtd).check(doc, [phi])"),
-}
-
-#: The release that will drop the deprecated entry points above.
-_REMOVAL_VERSION = "2.0"
-
-
-def __getattr__(name: str):
-    """PEP 562 hook: serve the deprecated entry points with a warning.
-
-    The names stay in ``__all__`` (they are still public, just
-    discouraged), but they are no longer imported eagerly, so touching
-    them — by attribute access or ``from repro import validate`` —
-    funnels through here exactly once per access site.
-    """
-    if name in _DEPRECATED:
-        module, attr_name, replacement = _DEPRECATED[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated and will be removed in repro "
-            f"{_REMOVAL_VERSION}; use repro.{replacement} — or bind the "
-            "schema once via repro.SchemaRegistry and use "
-            "Validator.from_registry — instead (see the migration "
-            "table in README.md)",
-            DeprecationWarning, stacklevel=2)
-        import importlib
-
-        return getattr(importlib.import_module(module), attr_name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,11 +31,9 @@ is the human-readable default, ``json`` emits one machine-readable
 object on stdout with sorted keys.  ``check-corpus`` additionally
 takes ``--jobs N`` (worker processes) and ``--cache DIR`` (persistent
 result cache).  ``validate``, ``check-corpus`` and ``serve`` all take
-``--engine {batch,codegen,auto,stream}`` selecting the validation
-backend (see :mod:`repro.engines`; ``auto`` and the deprecated
-``stream`` run as ``codegen``); output is byte-identical across the
-built-in engines.  ``--stream`` (and serve's ``--mode``) remain as
-deprecated aliases, to be removed in repro 2.0.
+``--engine {batch,codegen,auto}`` selecting the validation backend (see
+:mod:`repro.engines`; ``auto`` runs as ``codegen``); output is
+byte-identical across the built-in engines.
 
 ``lint`` runs the :mod:`repro.analysis` rule set over the schema:
 ``--format json`` for machine-readable output, ``--select`` /
@@ -80,6 +78,7 @@ from repro.paths.constraints import (
 from repro.paths.implication import PathImplicationEngine
 from repro.paths.path import parse_path, type_of
 from repro.server.registry import SchemaRegistry
+from repro.xmlio import decode_document
 from repro.xmlio.dtdparse import parse_dtdc
 from repro.xmlio.parser import parse_document
 
@@ -120,34 +119,16 @@ def _worker_count(value: str) -> int:
     return n
 
 
-def _resolve_engine(args) -> "str | None":
-    """The requested engine name, folding the deprecated ``--stream``
-    flag in (mutually exclusive with ``--engine``); None means the
-    subcommand's historical default path."""
-    if not getattr(args, "stream", False):
-        return args.engine
-    if args.engine is not None:
-        raise ReproError(
-            "pass --engine or the deprecated --stream, not both")
-    import warnings
-
-    warnings.warn(
-        "--stream is deprecated and will be removed in repro 2.0; "
-        "use --engine stream (or --engine auto)",
-        DeprecationWarning, stacklevel=2)
-    LOG.info("--stream is deprecated; use --engine stream")
-    return "stream"
-
-
 def _cmd_validate(args) -> int:
     handle = _load_schema(args.schema, args.root)
     dtd = handle.dtd
     LOG.info("loaded schema %s (|Sigma| = %d)", args.schema,
              len(dtd.constraints))
-    engine = _resolve_engine(args)
+    engine = args.engine
     if engine is None or engine == "batch":
-        tree = parse_document(FsPath(args.document).read_text(),
-                              dtd.structure, obs=args.obs)
+        tree = parse_document(
+            decode_document(FsPath(args.document).read_bytes()),
+            dtd.structure, obs=args.obs)
         LOG.info("parsed %s (%d vertices)", args.document, tree.size())
         report = validate(tree, dtd, obs=args.obs)
     else:
@@ -186,8 +167,7 @@ def _cmd_check_corpus(args) -> int:
     LOG.info("validating %d document(s) with jobs=%d", len(docs),
              args.jobs)
     validator = CorpusValidator(handle, jobs=args.jobs, cache=args.cache,
-                                chunk_size=args.chunk_size, obs=args.obs,
-                                engine=_resolve_engine(args))
+                                obs=args.obs, engine=args.engine)
     report = validator.validate(docs)
     if args.format == "json":
         print(report.to_json())
@@ -218,19 +198,18 @@ def _shard_exit(report) -> int:
 
 def _check_corpus_sharded(args, handle, docs: "list[str]") -> int:
     """``check-corpus --shards N [--watch]``: the sharded coordinator
-    over subprocess (default) or in-process nodes."""
+    over ``serve --stdio`` subprocess nodes."""
     from repro.shard import (
-        LocalNode, ShardedCorpusValidator, SubprocessNode, WatchSession,
+        ShardedCorpusValidator, SubprocessNode, WatchSession,
     )
 
     shards = args.shards if args.shards is not None else 1
-    factory = LocalNode if args.nodes == "local" else SubprocessNode
-    LOG.info("validating %d document(s) across %s shard(s), %s nodes",
-             len(docs), shards or "auto", args.nodes)
+    LOG.info("validating %d document(s) across %s shard(s)",
+             len(docs), shards or "auto")
     with ShardedCorpusValidator(
             handle, shards=shards, cache=args.cache, obs=args.obs,
-            engine=_resolve_engine(args) or "auto",
-            node_factory=factory) as validator:
+            engine=args.engine or "auto",
+            node_factory=SubprocessNode) as validator:
         if not args.watch:
             report = validator.validate(docs)
             if args.format == "json":
@@ -289,7 +268,7 @@ def _cmd_bench_incremental(args) -> int:
 
     result = bench_incremental(nodes=args.nodes, updates=args.updates,
                                seed=args.seed)
-    if args.json or args.format == "json":
+    if args.format == "json":
         _print_json(result)
         return 0
     print(f"document: {result['vertices']} vertices, "
@@ -533,8 +512,8 @@ def _cmd_profile(args) -> int:
 
     obs = args.obs if args.obs is not None else Observability()
     dtd = parse_dtdc(FsPath(args.dtdc).read_text(), root=args.root)
-    tree = parse_document(FsPath(args.doc).read_text(), dtd.structure,
-                          obs=obs)
+    tree = parse_document(decode_document(FsPath(args.doc).read_bytes()),
+                          dtd.structure, obs=obs)
     report = validate(tree, dtd, obs=obs)
     LOG.info("validate: %d vertices, %d violation(s)", tree.size(),
              len(report.violations))
@@ -673,26 +652,11 @@ def _cmd_serve(args) -> int:
     if not 0.0 <= args.sample <= 1.0:
         LOG.error("error: --sample must be within [0, 1]")
         return 2
-    default_engine = args.engine
-    if args.mode is not None:
-        if default_engine is not None:
-            LOG.error("error: pass --engine or the deprecated --mode, "
-                      "not both")
-            return 2
-        import warnings
-
-        warnings.warn(
-            "serve --mode is deprecated and will be removed in repro "
-            "2.0; use --engine", DeprecationWarning, stacklevel=2)
-        LOG.info("--mode is deprecated; use --engine")
-        default_engine = args.mode
-    if default_engine is None:
-        default_engine = "auto"
     from repro import engines as _engines
 
-    if default_engine not in _engines.names():
+    if args.engine not in _engines.names():
         LOG.error("error: unknown engine %r (known: %s)",
-                  default_engine, ", ".join(_engines.names()))
+                  args.engine, ", ".join(_engines.names()))
         return 2
     specs = _parse_schema_specs(args.schema)
     # The server-lifetime obs handle backs GET /metrics; the global
@@ -712,7 +676,7 @@ def _cmd_serve(args) -> int:
                  name, handle.version, handle.dtd.structure.root,
                  handle.fingerprint[:12])
     server = ValidationServer(registry, cache=args.cache, obs=obs,
-                              default_mode=default_engine,
+                              default_mode=args.engine,
                               sample=args.sample, slow_ms=args.slow_ms,
                               events=events,
                               trace_capacity=args.trace_capacity)
@@ -804,11 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="validation backend: batch (default; parse then "
                    "validate), codegen (one pass, O(depth) memory, "
                    "scanners specialised to the schema), auto (codegen), "
-                   "stream (deprecated alias of codegen), or a "
-                   "registered third-party engine; output and exit "
+                   "or a registered third-party engine; output and exit "
                    "status are identical across the built-ins")
-    p.add_argument("--stream", action="store_true",
-                   help="deprecated alias for --engine stream")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("check-corpus", parents=[fmt],
@@ -830,11 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "worker processes (0 means one per CPU); documents "
                    "are partitioned by content hash, L_id constraints "
                    "are folded at the coordinator, and verdicts are "
-                   "byte-identical to a serial run")
-    p.add_argument("--nodes", choices=("subprocess", "local"),
-                   default="subprocess",
-                   help="shard node kind (default: subprocess — one "
-                   "'serve --stdio' worker process per shard)")
+                   "byte-identical to a serial run; each shard is a "
+                   "'serve --stdio' worker process)")
     p.add_argument("--watch", action="store_true",
                    help="keep running: re-stat the corpus every "
                    "--interval seconds and revalidate only files whose "
@@ -848,16 +806,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="persistent result-cache directory (re-running "
                    "an unchanged corpus costs one hash per document)")
-    p.add_argument("--chunk-size", type=int, default=None, metavar="K",
-                   help="documents per worker task (default: heuristic)")
     p.add_argument("--engine", default=None, metavar="NAME",
                    help="per-document backend: batch (default), "
-                   "codegen, auto (codegen) or stream (deprecated alias "
-                   "of codegen); the single-pass engine reads files "
-                   "straight from disk and verdicts are identical "
-                   "across engines")
-    p.add_argument("--stream", action="store_true",
-                   help="deprecated alias for --engine stream")
+                   "codegen or auto (codegen); the single-pass engine "
+                   "reads files straight from disk and verdicts are "
+                   "identical across engines")
     p.set_defaults(func=_cmd_check_corpus)
 
     p = sub.add_parser("cache", parents=[fmt],
@@ -882,8 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of timed single updates (default: 100)")
     p.add_argument("--seed", type=int, default=0,
                    help="workload seed (default: 0)")
-    p.add_argument("--json", action="store_true",
-                   help="deprecated alias for --format json")
     p.set_defaults(func=_cmd_bench_incremental)
 
     p = sub.add_parser("describe", parents=[fmt], help="print the DTD^C")
@@ -975,14 +926,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="content-addressed result cache: byte-identical "
                    "re-submissions are answered without re-validating")
-    p.add_argument("--engine", default=None, metavar="NAME",
+    p.add_argument("--engine", default="auto", metavar="NAME",
                    help="default validate engine for requests that do "
                    "not name one: auto (default; the single-pass codegen "
-                   "engine), codegen, batch, stream (deprecated alias of "
-                   "codegen), or a registered third-party engine")
-    p.add_argument("--mode", choices=("stream", "batch"),
-                   default=None,
-                   help="deprecated alias for --engine")
+                   "engine), codegen, batch, or a registered third-party "
+                   "engine")
     p.add_argument("--sample", type=float, default=0.0, metavar="RATE",
                    help="per-request trace sampling rate in [0, 1] "
                    "(default: 0; ?trace=1 and sampled traceparent "

@@ -10,9 +10,10 @@ once per :class:`~repro.server.registry.SchemaHandle` (memoized on
 zero-copy ``validate_bytes``/``mmap`` file path: pure-ASCII input
 (checked with ``bytes.isascii()`` over slices of at most
 :data:`_ASCII_SLICE` bytes) is validated directly over the byte buffer
-without decoding; anything else is decoded as UTF-8 and takes the
-``str`` scanner, so reports — error messages and line numbers included
-— are the same for every input form.
+without decoding; anything else is decoded as UTF-8
+(:func:`~repro.xmlio.decode_document`) and takes the ``str`` scanner,
+so reports — error messages and line numbers included — are the same
+for every input form.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ import os
 
 from repro.codegen.runtime import RunState, run_labels, scanners
 from repro.obs import NULL_OBS
+from repro.xmlio import decode_document
 
 __all__ = ["CodegenValidator", "CompiledSchema", "compile_schema"]
 
 #: the pre-scan copies an ``mmap`` out in slices of this many bytes; any
 #: byte outside ASCII forces the decoded-str scanner (regex \w and
-#: str.strip() Unicode semantics, and UnicodeDecodeError parity)
+#: str.strip() Unicode semantics, and the decode error's parity)
 _ASCII_SLICE = 1 << 16
 
 
@@ -130,7 +132,7 @@ class CodegenValidator:
         if type(data) is not bytes:
             data = bytes(data)
         if not _is_ascii(data):
-            return self.validate_text(data.decode("utf-8"))
+            return self.validate_text(decode_document(data))
         obs = self.obs
         rs = self.last_run = RunState(self.compiled.plan, obs)
         if not obs.enabled:
@@ -153,7 +155,7 @@ class CodegenValidator:
                 return self.validate_bytes(fh.read())
             with mm:
                 if not _is_ascii(mm):
-                    return self.validate_text(mm[:].decode("utf-8"))
+                    return self.validate_text(decode_document(mm[:]))
                 obs = self.obs
                 rs = self.last_run = RunState(self.compiled.plan, obs)
                 if not obs.enabled:

@@ -26,8 +26,10 @@ What a scanner does per construct:
   either is consumed by the same match, never queued.  On the bytes
   path a start tag's attribute span is decoded once, so every attribute
   name and value is a ``str`` from then on.  A start tag the one-regex
-  match rejects is replayed attribute by attribute only to raise the
-  located error the tokenizer raises;
+  match rejects, or whose span holds a raw ``<`` (which the regex lets
+  through quoted values: a negated two-character class is markedly
+  slower on ``bytes``), is replayed attribute by attribute only to
+  raise the located error the tokenizer raises;
 - ``<x/>`` is closed inline, without building a stack frame;
 - a run of Σ-irrelevant leaves is consumed :data:`RUN_MAX` elements per
   regex match, so neither the regex engine's backtracking stack nor the
@@ -41,7 +43,8 @@ on ASCII input only, where that class is :data:`_WS_BYTES`, and its
 tables leave out names that are not ASCII (no such tag can occur).
 Element and attribute names are those the tokenizer's ``_NAME_RE``
 accepts; a leading byte-order mark is skipped, and a repeated
-attribute name raises the tokenizer's located error.
+attribute name, a raw ``<`` in an attribute value and ``--`` in a
+comment raise the tokenizer's located errors.
 """
 
 from __future__ import annotations
@@ -189,10 +192,12 @@ def _scanner(plan, runs, *, as_bytes):
     END_TAG = R(rf"{ws}*</({_NAME}){ws}*>").match
     # the per-attribute pieces, replayed only to locate an error
     NAME_RE = R(_NAME)
-    ATTR_RE = R(rf"{ws}+({_NAME}){ws}*={ws}*(\"[^\"]*\"|'[^']*')")
+    ATTR_RE = R(rf"{ws}+({_NAME}){ws}*={ws}*(\"[^\"<]*\"|'[^'<]*')")
     DOCT_RE = R(r"[\[\]>]")
     COMMENT_OPEN = M("<!--")
     COMMENT_CLOSE = M("-->")
+    DASHES = M("--")
+    DASH = M("-")
     CDATA_OPEN = M("<![CDATA[")
     CDATA_CLOSE = M("]]>")
     PI_OPEN = M("<?")
@@ -357,6 +362,8 @@ def _scanner(plan, runs, *, as_bytes):
                 attrs = {}
                 if span:
                     span = dec(span)
+                    if "<" in span:  # a raw '<' in an attribute value
+                        raise start_tag_error(m.start(1) - 1)
                     amp = "&" in span
                     amap = {}
                     for name, dq, sq in _ATTR_FIND(span):
@@ -521,6 +528,10 @@ def _scanner(plan, runs, *, as_bytes):
                 e = find(COMMENT_CLOSE, pos + 4)
                 if e < 0:
                     raise XMLSyntaxError("unterminated comment",
+                                         line=line_at(pos))
+                if find(DASHES, pos + 4, e) >= 0 or (
+                        e > pos + 4 and buf[e - 1:e] == DASH):
+                    raise XMLSyntaxError("'--' inside a comment",
                                          line=line_at(pos))
                 pos = e + 3
                 continue

@@ -29,7 +29,9 @@ from repro.obs import TraceContext, activate, current_context
 from repro.datamodel.tree import DataTree
 from repro.dtd.dtdc import DTDC
 from repro.dtd.validate import ValidationReport
+from repro.errors import ReproError, XMLSyntaxError
 from repro.server.registry import SchemaHandle, as_handle
+from repro.xmlio import decode_document
 from repro.xmlio.serializer import serialize
 
 __all__ = ["CorpusValidator", "normalize_docs", "resolve_jobs"]
@@ -104,10 +106,6 @@ class CorpusValidator:
     cache:
         ``None`` (no caching), a directory path (persistent store under
         it), or a prebuilt :class:`ResultCache` to share across runs.
-    chunk_size:
-        Documents per pool task.  Default: ``ceil(n / (4 * jobs))``
-        capped at 32 — large enough to amortize task dispatch, small
-        enough to keep all workers busy on uneven documents.
     obs:
         Optional :class:`repro.obs.Observability`; per-worker metrics
         and spans are merged into it under a ``corpus.validate`` span.
@@ -115,56 +113,41 @@ class CorpusValidator:
         Per-document backend: ``"batch"`` (parse-then-validate, the
         default) or ``"codegen"`` (the single-pass engine; each worker
         builds its scanners once from the plan it is shipped, and
-        validates file inputs over raw bytes).  ``"auto"`` and the
-        deprecated ``"stream"`` resolve to ``"codegen"`` through
-        :func:`repro.engines.resolve`.  Verdicts are byte-identical
-        across engines.  On the codegen engine file inputs stay as
-        paths so workers read them from disk, hashing the raw bytes for
-        the cache key as part of the same read.
-    stream:
-        Deprecated spelling of ``engine="stream"``; mutually exclusive
-        with ``engine``.
+        validates file inputs over raw bytes).  ``"auto"`` resolves to
+        ``"codegen"`` through :func:`repro.engines.resolve`.  Verdicts
+        are byte-identical across engines.  On the codegen engine file
+        inputs stay as paths so workers read them from disk, hashing
+        the raw bytes for the cache key as part of the same read.
+
+    Pool tasks carry ``ceil(n / (4 * jobs))`` documents each, capped at
+    32 — large enough to amortize task dispatch, small enough to keep
+    all workers busy on uneven documents.
     """
 
     def __init__(self, dtd: "DTDC | SchemaHandle", jobs: int = 1,
                  cache: "ResultCache | str | os.PathLike | None" = None,
-                 chunk_size: Optional[int] = None, obs=None,
-                 stream: bool = False, engine: Optional[str] = None):
+                 *, obs=None, engine: Optional[str] = None):
         try:
             self.handle = as_handle(dtd)
         except TypeError:
             raise TypeError(
                 f"CorpusValidator needs a DTDC or SchemaHandle, got "
                 f"{type(dtd)!r}") from None
-        jobs = resolve_jobs(jobs)
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.dtd = self.handle.dtd
-        self.jobs = jobs
-        self.chunk_size = chunk_size
+        self.jobs = resolve_jobs(jobs)
         if cache is None or isinstance(cache, ResultCache):
             self.cache = cache
         else:
             self.cache = ResultCache(directory=cache)
         self.obs = obs
-        if engine is None:
-            engine = "stream" if stream else "batch"
-        elif stream:
-            raise ValueError(
-                "pass either engine=... or the deprecated stream=True, "
-                "not both")
-        engine = _engines.resolve(engine)
+        engine = _engines.resolve(engine or "batch")
         if engine not in ("batch", "codegen"):
-            from repro.errors import ReproError
-
             raise ReproError(
-                f"unknown corpus engine {engine!r} "
-                "(known: auto, batch, codegen, stream)")
+                f"unknown engine {engine!r} for corpus runs "
+                "(known: auto, batch, codegen)")
         #: the resolved per-document backend, "batch" or "codegen"
-        #: ("auto" and "stream" never survive construction)
+        #: ("auto" never survives construction)
         self.engine = engine
-        #: back-compat view: True for the single-pass engine
-        self.stream = engine == "codegen"
         self.fingerprint = self.handle.fingerprint
         #: per-document ``L_id`` merge aggregates of the most recent
         #: :meth:`validate` run, in verdict order: the
@@ -194,30 +177,34 @@ class CorpusValidator:
         Path inputs are keyed on raw file bytes.  On the batch path the
         coordinator needs the decoded text anyway (workers receive
         text), so the entry is rewritten to ``("text", ...)`` from the
-        same read.  On the single-pass path the file stays on disk for the
-        worker to read; the coordinator only reads it when a cache
-        needs the key up front — without a cache the key comes back from
-        the worker, which hashes the bytes it reads anyway.
+        same read, or to ``("error", message)`` when its bytes are not
+        UTF-8 (the document's verdict is then that error).  On the
+        single-pass path the file stays on disk for the worker to read;
+        the coordinator only reads it when a cache needs the key up
+        front — without a cache the key comes back from the worker,
+        which hashes the bytes it reads anyway.
         """
         keys: list[Optional[str]] = []
         for i, (doc_id, kind, value) in enumerate(entries):
             if kind == "text":
                 keys.append(result_key(value, self.fingerprint))
-            elif self.stream and self.cache is None:
+            elif self.engine == "codegen" and self.cache is None:
                 keys.append(None)
             else:
                 with open(value, "rb") as handle:
                     data = handle.read()
                 keys.append(result_key_bytes(data, self.fingerprint))
-                if not self.stream:
-                    entries[i] = (doc_id, "text", data.decode("utf-8"))
+                if self.engine == "batch":
+                    try:
+                        entries[i] = (doc_id, "text",
+                                      decode_document(data))
+                    except XMLSyntaxError as exc:
+                        entries[i] = (doc_id, "error", str(exc))
         return keys
 
     # -- chunking ----------------------------------------------------
 
     def _chunk_size(self, n_docs: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
         if n_docs == 0:
             return 1
         return max(1, min(32, math.ceil(n_docs / (4 * self.jobs))))
@@ -269,7 +256,11 @@ class CorpusValidator:
         t0 = time.perf_counter()
         verdicts: list[Optional[DocumentVerdict]] = [None] * len(entries)
         pending: list[int] = []
-        for i, (doc_id, _kind, _value) in enumerate(entries):
+        for i, (doc_id, kind, value) in enumerate(entries):
+            if kind == "error":
+                verdicts[i] = DocumentVerdict(doc_id, keys[i], False,
+                                              error=value)
+                continue
             cached = self.cache.get(keys[i]) \
                 if self.cache is not None else None
             if cached is not None:
@@ -331,7 +322,7 @@ class CorpusValidator:
         chunk spans join the run's trace."""
         if not pending:
             return []
-        if self.stream:
+        if self.engine == "codegen":
             work = [entries[i] for i in pending]
             worker = stream_chunk
             # the handle builds its scanners once per process, before
@@ -364,7 +355,7 @@ class CorpusValidator:
     def _to_verdict(self, key: Optional[str],
                     verdict_dict: dict) -> DocumentVerdict:
         doc_id = verdict_dict["doc"]
-        if key is None:  # streaming worker hashed the bytes it read
+        if key is None:  # the single-pass worker hashed the bytes it read
             key = verdict_dict.get("key") or ""
         if verdict_dict["error"] is not None:
             return DocumentVerdict(doc_id, key, False,

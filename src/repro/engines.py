@@ -14,10 +14,7 @@ ad-hoc boolean flags:
     specialised to the schema, O(depth + Σ-relevant state) memory, any
     schema.
 ``auto``
-    ``codegen``.
-``stream``
-    Deprecated alias of ``codegen`` (removed in repro 2.0); it runs,
-    and reports itself, as ``codegen``.
+    Runs, and reports itself, as ``codegen``.
 
 :func:`resolve` is the one place these names resolve: the corpus
 validator and the server ask it which engine a request runs as.
@@ -53,9 +50,9 @@ from repro.errors import ReproError
 __all__ = ["create", "names", "register", "resolve", "unregister"]
 
 _FACTORIES: dict[str, Callable] = {}
-_BUILTIN = frozenset(("auto", "batch", "stream", "codegen"))
+_BUILTIN = frozenset(("auto", "batch", "codegen"))
 #: built-in names that run as another engine
-_ALIASES = {"auto": "codegen", "stream": "codegen"}
+_ALIASES = {"auto": "codegen"}
 _LOCK = threading.Lock()
 
 
@@ -89,8 +86,10 @@ class _BatchEngine:
 
 
 def _read_text(path: str) -> str:
+    from repro.xmlio import decode_document
+
     with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
+        return decode_document(fh.read())
 
 
 def _reject_tree(source, engine: str):
@@ -119,19 +118,18 @@ class _CodegenEngine:
 
 
 _FACTORIES["batch"] = _BatchEngine
-_FACTORIES["codegen"] = _FACTORIES["auto"] = _FACTORIES["stream"] = \
-    _CodegenEngine
+_FACTORIES["codegen"] = _FACTORIES["auto"] = _CodegenEngine
 
 
 def resolve(name: str) -> str:
-    """The engine ``name`` runs as: ``auto`` and the deprecated
-    ``stream`` run as ``codegen``; every other name as itself."""
+    """The engine ``name`` runs as: ``auto`` runs as ``codegen``;
+    every other name as itself."""
     return _ALIASES.get(name, name)
 
 
 def names() -> list[str]:
     """Registered engine names, sorted (always includes the built-ins
-    ``auto``, ``batch``, ``codegen``, ``stream``)."""
+    ``auto``, ``batch``, ``codegen``)."""
     with _LOCK:
         return sorted(_FACTORIES)
 

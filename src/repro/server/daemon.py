@@ -14,7 +14,7 @@ share one dispatcher:
       GET    /v1/schemas                  registry listing
       PUT    /v1/schemas/<name>[?root=r]  load or hot-reload (body = DTD^C)
       DELETE /v1/schemas/<name>           unload
-      POST   /v1/validate/<name>[?engine=auto|batch|codegen|stream]
+      POST   /v1/validate/<name>[?engine=auto|batch|codegen]
                                           body = XML bytes
       POST   /v1/lint/<name>[?select=..&ignore=..]
       POST   /v1/synth/<name>
@@ -40,9 +40,8 @@ Request lifecycle (the admission path the whole design serves):
 4. on a miss, validate with the engine the request named — ``auto``
    (the default) and ``codegen`` run the single-pass engine over the
    raw bytes, with the handle's scanners; ``batch`` parses, then
-   validates; ``stream`` is a deprecated alias of ``codegen`` — the
-   report is byte-identical across engines — and write it through the
-   cache.  ``mode`` is the deprecated spelling of ``engine``.
+   validates — the report is byte-identical across engines — and write
+   it through the cache.
 
 Per-request :class:`~repro.obs.Observability` spans and counters are
 absorbed into the server-lifetime handle after every request (the
@@ -106,9 +105,8 @@ class ValidationServer:
     default_mode:
         The engine for validate requests that do not name one —
         ``"auto"`` (the default: the single-pass codegen engine),
-        ``"codegen"``, ``"batch"``, the deprecated ``"stream"``, or any
-        engine registered through :func:`repro.engines.register` before
-        the server starts.
+        ``"codegen"``, ``"batch"``, or any engine registered through
+        :func:`repro.engines.register` before the server starts.
     sample:
         Trace sampling rate in ``[0, 1]``: the fraction of requests
         that get a per-request tracer and land in the trace store.
@@ -384,8 +382,7 @@ class ValidationServer:
             self.events.debug("cache-hit", f"{handle.name} {key[:12]}",
                               schema=handle.name, key=key)
         else:
-            engine = req.get("engine") or req.get("mode") \
-                or self.default_mode
+            engine = req.get("engine") or self.default_mode
             t_engine = time.perf_counter()
             report, engine_used = self._validate_bytes(
                 handle, data, engine, req.get("_obs"))
@@ -431,13 +428,14 @@ class ValidationServer:
                         ) -> "tuple[object, str]":
         """One cache-missing validation; returns ``(report, resolved)``
         where ``resolved`` is the engine that actually ran, as
-        :func:`repro.engines.resolve` names it (``auto`` and ``stream``
-        never survive resolution).  Reports are byte-identical across
-        engines (the E19/E23 equivalence), so the choice is purely a
-        performance knob.  Spans/metrics land on the per-request
+        :func:`repro.engines.resolve` names it (``auto`` never survives
+        resolution).  Reports are byte-identical across engines (the
+        E19/E23 equivalence), so the choice is purely a performance
+        knob.  Spans/metrics land on the per-request
         handle; :meth:`_finish_request` folds the metrics into the
         lifetime registry."""
         from repro import engines as _engines
+        from repro.xmlio import decode_document
 
         engine = _engines.resolve(engine)
         if engine == "codegen":
@@ -449,13 +447,13 @@ class ValidationServer:
             from repro.dtd.validate import validate
             from repro.xmlio.parser import parse_document
 
-            tree = parse_document(data.decode("utf-8"),
+            tree = parse_document(decode_document(data),
                                   handle.dtd.structure, obs=req_obs)
             return validate(tree, handle.dtd, obs=req_obs), "batch"
         # third-party engines (and the unknown-name error) route
         # through the registry
         backend = _engines.create(engine, handle, obs=req_obs)
-        return backend.validate(data.decode("utf-8")), engine
+        return backend.validate(decode_document(data)), engine
 
     def _op_check_corpus(self, req: dict) -> "tuple[dict, int]":
         """Validate many documents in one request — optionally across
@@ -487,8 +485,7 @@ class ValidationServer:
             raise ReproError("jobs must be an integer >= 1") from None
         if jobs < 1:
             raise ReproError("jobs must be an integer >= 1")
-        engine = req.get("engine") or req.get("mode") \
-            or self.default_mode
+        engine = req.get("engine") or self.default_mode
         validator = CorpusValidator(
             handle, jobs=jobs, cache=self.cache,
             obs=req.get("_obs"), engine=engine)
@@ -541,8 +538,7 @@ class ValidationServer:
             else:
                 raise ReproError(
                     f"documents[{i}] must be a [doc_id, xml] pair")
-        engine = req.get("engine") or req.get("mode") \
-            or self.default_mode
+        engine = req.get("engine") or self.default_mode
         req_obs = req.get("_obs")
         validator = CorpusValidator(handle, jobs=1, cache=self.cache,
                                     obs=req_obs, engine=engine)
@@ -838,7 +834,7 @@ class ValidationServer:
                     "bad-request",
                     f"unparseable check-corpus body: {exc}")))
             req = {"op": "check-corpus", "schema": seg[2]}
-            for field in ("documents", "jobs", "engine", "mode"):
+            for field in ("documents", "jobs", "engine"):
                 if field in body:
                     req[field] = body[field]
         elif len(seg) == 3 and seg[0] == "v1" and \
@@ -851,8 +847,6 @@ class ValidationServer:
                 req["_hasher"] = request.hasher
                 if "engine" in request.query:
                     req["engine"] = request.query["engine"]
-                if "mode" in request.query:  # deprecated alias
-                    req["mode"] = request.query["mode"]
             elif seg[1] == "lint":
                 for flag in ("select", "ignore"):
                     if request.query.get(flag):

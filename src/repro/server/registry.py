@@ -238,7 +238,7 @@ class SchemaRegistry:
             if isinstance(source, os.PathLike):
                 text = Path(source).read_text()
             elif isinstance(source, str):
-                # the check_stream convention: text is recognized by a
+                # the engines' convention: text is recognized by a
                 # leading '<' (DTD^C text always starts with a decl),
                 # anything else is a path
                 text = source if source.lstrip().startswith("<") \

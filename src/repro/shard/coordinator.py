@@ -47,12 +47,13 @@ from repro.corpus.cache import ResultCache, result_key, \
 from repro.corpus.report import CorpusReport, DocumentVerdict
 from repro.corpus.validator import CorpusDoc, normalize_docs, \
     resolve_jobs
-from repro.errors import ReproError
+from repro.errors import ReproError, XMLSyntaxError
 from repro.server.registry import as_handle
 from repro.shard.aggregates import CorpusViolation, fold_aggregates
 from repro.shard.locality import Locality, classify_sigma
 from repro.shard.node import LocalNode, ShardNode
 from repro.xmlio.dtdparse import parse_dtdc, serialize_dtdc
+from repro.xmlio import decode_document
 
 __all__ = ["ShardReport", "ShardedCorpusValidator", "shard_of"]
 
@@ -146,8 +147,7 @@ class ShardedCorpusValidator:
     def __init__(self, dtd: "DTDC | SchemaHandle", shards: int = 1,
                  cache: "ResultCache | str | None" = None,
                  obs=None, engine: Optional[str] = None,
-                 node_factory: "Callable[[str], ShardNode] | None" = None,
-                 schema_name: Optional[str] = None):
+                 node_factory: "Callable[[str], ShardNode] | None" = None):
         try:
             self.handle = as_handle(dtd)
         except TypeError:
@@ -161,12 +161,11 @@ class ShardedCorpusValidator:
         else:
             self.cache = ResultCache(directory=cache)
         self.obs = obs
-        #: per-document engine the nodes run; "auto" lets each node
-        #: pick codegen when the schema supports it
+        #: per-document engine the nodes run ("auto" runs as codegen)
         self.engine = engine or "auto"
         self.node_factory = node_factory or LocalNode
-        self.schema_name = schema_name or \
-            f"shard:{self.handle.fingerprint[:12]}"
+        #: the name every node loads the schema under
+        self.schema_name = f"shard:{self.handle.fingerprint[:12]}"
         self.fingerprint = self.handle.fingerprint
         self._merge_positions = classify_sigma(self.dtd)[Locality.MERGE]
         #: result_key -> this document's merge aggregates (watch mode
@@ -272,21 +271,30 @@ class ShardedCorpusValidator:
             entries = normalize_docs(docs)
             texts: list[str] = []
             keys: list[str] = []
-            for doc_id, kind, value in entries:
-                if kind == "text":
-                    texts.append(value)
-                    keys.append(result_key(value, self.fingerprint))
-                else:
+            for i, (doc_id, kind, value) in enumerate(entries):
+                if kind == "path":
                     with open(value, "rb") as fh:
                         data = fh.read()
-                    texts.append(data.decode("utf-8"))
                     keys.append(result_key_bytes(data, self.fingerprint))
+                    try:
+                        value = decode_document(data)
+                    except XMLSyntaxError as exc:
+                        # never shipped (the wire carries text): the
+                        # error is the document's verdict
+                        entries[i] = (doc_id, "error", str(exc))
+                else:
+                    keys.append(result_key(value, self.fingerprint))
+                texts.append(value)
 
             need_aggs = bool(self._merge_positions)
             verdicts: list[Optional[DocumentVerdict]] = \
                 [None] * len(entries)
             pending: list[int] = []
-            for i, (doc_id, _kind, _value) in enumerate(entries):
+            for i, (doc_id, kind, value) in enumerate(entries):
+                if kind == "error":
+                    verdicts[i] = DocumentVerdict(doc_id, keys[i], False,
+                                                  error=value)
+                    continue
                 cached = self.cache.get(keys[i]) \
                     if self.cache is not None else None
                 if cached is not None and (
@@ -318,9 +326,15 @@ class ShardedCorpusValidator:
             responses: dict[int, dict] = {}
             for s in sorted(by_shard):
                 pairs = [(entries[i][0], texts[i]) for i in by_shard[s]]
-                responses[s] = nodes[s].check_shard(
-                    self.schema_name, pairs, engine=self.engine,
-                    aggregates=need_aggs)
+                try:
+                    responses[s] = nodes[s].check_shard(
+                        self.schema_name, pairs, engine=self.engine,
+                        aggregates=need_aggs)
+                except ReproError as exc:
+                    raise ReproError(
+                        f"shard {s} failed on its {len(pairs)} "
+                        f"document(s) ({', '.join(d for d, _ in pairs)})"
+                        f": {exc}") from exc
         finally:
             if span:
                 span.__exit__(None, None, None)

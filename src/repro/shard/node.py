@@ -131,14 +131,27 @@ class SubprocessNode(ShardNode):
                 f"{self.proc.returncode} before the request")
         assert self.proc.stdin is not None \
             and self.proc.stdout is not None
-        self.proc.stdin.write(json.dumps(req) + "\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
+        try:
+            self.proc.stdin.write(json.dumps(req) + "\n")
+            self.proc.stdin.flush()
+            line = self.proc.stdout.readline()
+        except OSError as exc:  # the node died while we wrote
+            raise self._died(f"{type(exc).__name__}: {exc}") from exc
         if not line:
-            raise ReproError(
-                f"shard node {self.name!r} closed its pipe mid-request"
-                f" (exit status {self.proc.poll()})")
+            raise self._died("no response")
         return json.loads(line)
+
+    def _died(self, detail: str) -> ReproError:
+        """The error for a node that went away mid-request, with its
+        exit status once the process has been reaped (a dying node gets
+        a moment to finish exiting)."""
+        try:
+            status = self.proc.wait(timeout=1)
+        except subprocess.TimeoutExpired:
+            status = None
+        return ReproError(
+            f"shard node {self.name!r} closed its pipe mid-request "
+            f"(exit status {status}; {detail})")
 
     def close(self) -> None:
         if self.proc.poll() is None:

@@ -13,18 +13,15 @@ labels and fields Σ reads.  The single-pass engine,
 
 Reports are byte-identical (``to_json()``) to the batch path
 ``validate(parse_document(text, dtd.structure), dtd)``.
-:class:`StreamValidator` is a deprecated alias that validates through
-codegen; it is removed in repro 2.0.
 """
 
 from repro.stream.plan import LabelPlan, StreamPlan, compile_plan
-from repro.stream.validator import StreamIndex, StreamValidator, StreamVertex
+from repro.stream.validator import StreamIndex, StreamVertex
 
 __all__ = [
     "LabelPlan",
     "StreamIndex",
     "StreamPlan",
-    "StreamValidator",
     "StreamVertex",
     "compile_plan",
 ]

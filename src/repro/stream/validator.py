@@ -1,4 +1,4 @@
-"""The streamed vertex model, and the deprecated ``StreamValidator``.
+"""The streamed vertex model of the single-pass engine.
 
 :class:`StreamVertex` and :class:`StreamIndex` are what the single-pass
 engine (:mod:`repro.codegen`) retains of a Σ-relevant element after its
@@ -11,10 +11,6 @@ byte-identical to the batch validator's is argued on
 """
 
 from __future__ import annotations
-
-import warnings
-
-from repro.stream.plan import StreamPlan, compile_plan
 
 _EMPTY: frozenset[str] = frozenset()
 
@@ -104,46 +100,3 @@ class StreamIndex:
 
     def id_owner_list(self, value: str) -> list[StreamVertex]:
         return list(self._id_owners.get(value, {}).values())
-
-
-class StreamValidator:
-    """Deprecated alias: validates through the codegen engine.
-
-    The streaming interpreter this name used to run is gone; the
-    codegen engine decides the same validity in one pass for every
-    schema.  Deprecated in repro 1.6 and removed in repro 2.0: use
-    ``engine="codegen"`` (or ``"auto"``), or
-    :class:`repro.codegen.CodegenValidator`.
-    """
-
-    def __init__(self, plan_or_dtd, obs=None):
-        warnings.warn(
-            "repro.stream.StreamValidator is deprecated since repro 1.6 "
-            "and will be removed in repro 2.0; it validates through the "
-            "codegen engine — use engine='codegen' or "
-            "repro.codegen.CodegenValidator",
-            DeprecationWarning, stacklevel=2)
-        from repro.codegen.engine import CodegenValidator, compile_schema
-        from repro.server.registry import as_handle
-
-        self.plan: StreamPlan = (
-            plan_or_dtd if isinstance(plan_or_dtd, StreamPlan)
-            else compile_plan(plan_or_dtd))
-        compiled = compile_schema(
-            self.plan, as_handle(self.plan.dtd).fingerprint)
-        self._codegen = CodegenValidator(compiled, obs=obs)
-
-    @property
-    def last_run(self):
-        """The :class:`~repro.codegen.runtime.RunState` of the most
-        recent document."""
-        return self._codegen.last_run
-
-    def validate(self, source):
-        return self._codegen.validate(source)
-
-    def validate_path(self, path: str):
-        return self._codegen.validate_path(path)
-
-    def validate_text(self, text: str):
-        return self._codegen.validate_text(text)

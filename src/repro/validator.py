@@ -37,8 +37,9 @@ A registry-bound validator re-resolves its handle per call, so a
 ``registry.reload`` is picked up by the *next* operation while any
 operation already running finishes on the handle it resolved at entry.
 
-The legacy functions remain as thin delegating shims (see their
-docstrings for the mapping); new code should prefer the facade.
+The module-level functions it wraps (``repro.dtd.validate``,
+``repro.constraints.check``) remain the engines underneath; new code
+should prefer the facade.
 """
 
 from __future__ import annotations
@@ -124,19 +125,12 @@ class Validator:
         """The current schema (follows registry reloads)."""
         return self.handle.dtd
 
-    @property
-    def _stream_plan(self):
-        """Backward-compatible view of the compiled plan (None until
-        the first streaming call compiled it)."""
-        handle = self.handle
-        return handle._plan
-
     # -- Definition 2.4 --------------------------------------------------------
 
     def validate(self, doc: DataTree) -> ValidationReport:
         """Full validity of ``doc``: structure plus ``G ⊨ Σ``.
 
-        Equivalent to the legacy ``repro.validate(doc, self.dtd)``.
+        Equivalent to ``repro.dtd.validate(doc, self.dtd)``.
         """
         return _validate(doc, self.dtd, obs=self.obs)
 
@@ -154,16 +148,15 @@ class Validator:
         ``G ⊨ Σ`` only — no structural pass: ``doc`` is a parsed
         :class:`DataTree`, ``sigma`` defaults to the schema's own
         constraint set, and the result is a :class:`ViolationReport`
-        (equivalent to the legacy
-        ``repro.check(doc, sigma, self.dtd.structure)``).
+        (equivalent to
+        ``repro.constraints.check(doc, sigma, self.dtd.structure)``).
 
         With ``engine=`` set, ``doc`` is a filesystem path or XML text
         (text is recognized by a leading ``<``; ``engine="batch"`` also
         accepts a :class:`DataTree`) and the full Definition 2.4
         validity is computed by the named backend — ``"batch"``,
-        ``"codegen"``, ``"auto"`` (codegen), the deprecated
-        ``"stream"`` (codegen), or any engine registered through
-        :func:`repro.engines.register` — returning a
+        ``"codegen"``, ``"auto"`` (codegen), or any engine registered
+        through :func:`repro.engines.register` — returning a
         :class:`ValidationReport` that is byte-identical (``to_json()``)
         across the built-in engines.
         """
@@ -181,28 +174,9 @@ class Validator:
         return engines.create(engine, self.handle,
                               obs=self.obs).validate(doc)
 
-    # -- streaming (deprecated alias) ------------------------------------------
-
-    def check_stream(self, source) -> ValidationReport:
-        """Deprecated alias for ``check(source, engine="stream")``.
-
-        Retained for one major cycle; will be removed in repro 2.0.
-        """
-        import warnings
-
-        warnings.warn(
-            "Validator.check_stream() is deprecated and will be removed "
-            "in repro 2.0; use check(source, engine='auto') — the "
-            "single-pass codegen engine (see the engine table in "
-            "README.md)",
-            DeprecationWarning, stacklevel=2)
-        return self.check(source, engine="stream")
-
     # -- corpus ----------------------------------------------------------------
 
-    def check_corpus(self, docs, jobs: int = 1, cache=None,
-                     chunk_size: "int | None" = None,
-                     stream: bool = False,
+    def check_corpus(self, docs, jobs: int = 1, cache=None, *,
                      engine: "str | None" = None,
                      shards: "int | None" = None) -> "CorpusReport":
         """Validate many documents against this schema, optionally in
@@ -214,11 +188,9 @@ class Validator:
         bit-identical verdicts, ``0`` means one per CPU); ``cache`` is
         a :class:`~repro.corpus.ResultCache`, a directory path for a
         persistent store, or ``None``.  ``engine`` selects the
-        per-document backend (``"batch"``, ``"codegen"``, ``"auto"``
-        or the deprecated ``"stream"``, the last two running as codegen;
-        default batch); verdicts are byte-identical
-        across engines.  ``stream=True`` is the deprecated spelling of
-        ``engine="stream"``.  Returns a
+        per-document backend (``"batch"``, ``"codegen"`` or ``"auto"``,
+        the last running as codegen; default batch); verdicts are
+        byte-identical across engines.  Returns a
         :class:`~repro.corpus.CorpusReport` with per-document verdicts
         in input order.
 
@@ -231,10 +203,6 @@ class Validator:
         if shards is not None:
             from repro.shard import ShardedCorpusValidator
 
-            if stream:
-                raise ValueError(
-                    "stream=True is not supported with shards=; pass "
-                    "engine='stream'")
             with ShardedCorpusValidator(
                     self.handle, shards=shards, cache=cache,
                     obs=self.obs, engine=engine) as validator:
@@ -242,8 +210,7 @@ class Validator:
         from repro.corpus import CorpusValidator
 
         return CorpusValidator(self.handle, jobs=jobs, cache=cache,
-                               chunk_size=chunk_size, obs=self.obs,
-                               stream=stream,
+                               obs=self.obs,
                                engine=engine).validate(docs)
 
     # -- static analysis -------------------------------------------------------

@@ -8,8 +8,9 @@ verbatim for the DTD parser).
 
 The tokenizer tracks line numbers for error reporting and resolves
 character/entity references in text and attribute values.  As in
-expat, a leading byte-order mark is skipped and a start tag that
-repeats an attribute name is an error.
+expat, a leading byte-order mark is skipped, and a start tag that
+repeats an attribute name, a raw ``<`` in an attribute value and a
+comment containing ``--`` (or ending in ``-``) are errors.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.xmlio.escape import unescape
 
 _NAME_RE = re.compile(r"[A-Za-z_:][\w:.\-]*")
 _ATTR_RE = re.compile(
-    r"\s+([A-Za-z_:][\w:.\-]*)\s*=\s*(\"[^\"]*\"|'[^']*')")
+    r"\s+([A-Za-z_:][\w:.\-]*)\s*=\s*(\"[^\"<]*\"|'[^'<]*')")
 _WS_RE = re.compile(r"\s*")
 
 
@@ -72,6 +73,8 @@ class Tokenizer:
                     raise self._error("unterminated comment")
                 line = self.line
                 body = text[self.pos + 4:end]
+                if "--" in body or body.endswith("-"):
+                    raise self._error("'--' inside a comment")
                 self._advance(end + 3)
                 yield Token("comment", body, line=line)
                 continue

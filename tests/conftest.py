@@ -1,5 +1,7 @@
 """Shared fixtures: the paper's running examples."""
 
+import hashlib
+
 import pytest
 
 from repro.workloads import (
@@ -41,3 +43,20 @@ def publisher():
     """(database, constraints, instance) for the publisher example."""
     return (publisher_database(), publisher_constraints(),
             publisher_instance())
+
+
+@pytest.fixture
+def http_post():
+    """``post(server, target, body)``: route one POST through a
+    :class:`~repro.server.ValidationServer`'s HTTP layer (routing,
+    query parameters, status mapping) without opening a socket."""
+    from repro.server.http import HttpRequest
+
+    def post(server, target: str, body: bytes):
+        path, _, query = target.partition("?")
+        params = dict(p.split("=", 1) for p in query.split("&") if p)
+        return server._route_http(HttpRequest(
+            "POST", path, params, {}, body, hashlib.sha256(body), True,
+            [s for s in path.split("/") if s]))
+
+    return post

@@ -265,7 +265,7 @@ class TestBenchIncremental:
         import json
 
         assert main(["bench-incremental", "--nodes", "300",
-                     "--updates", "4", "--json"]) == 0
+                     "--updates", "4", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["updates"] == 4
         assert data["vertices"] > 0 and data["sigma"] > 0

@@ -289,13 +289,6 @@ class TestCheckCorpusFlags:
              for v in vs], sort_keys=True)
         assert strip(cached["verdicts"]) == strip(plain["verdicts"])
 
-    def test_bench_json_alias_still_works(self, capsys):
-        """--json on bench-incremental is deprecated but must keep
-        emitting JSON until removal."""
-        assert main(["bench-incremental", "--nodes", "120",
-                     "--updates", "2", "--json"]) == 0
-        json.loads(capsys.readouterr().out)
-
 
 class TestServeUsage:
     """The fast (non-daemon) half of the ``serve`` contract; the
@@ -314,8 +307,9 @@ class TestServeUsage:
 
 
 class TestStreamFlag:
-    """``--stream`` must be invisible in the output: same bytes, same
-    exit status, same ``--format`` behaviour as the default path.
+    """The single-pass engine (``--engine codegen``; ``--stream`` until
+    2.0) must be invisible in the output: same bytes, same exit status,
+    same ``--format`` behaviour as the default batch path.
 
     (Kept out of ``CASES`` — that table enumerates subcommands, not
     flag variants.)
@@ -327,7 +321,7 @@ class TestStreamFlag:
                 cli_files["schema"], "--format", fmt]
         assert main(argv) == 0
         plain = capsys.readouterr().out
-        assert main(argv + ["--stream"]) == 0
+        assert main(argv + ["--engine", "codegen"]) == 0
         streamed = capsys.readouterr().out
         assert streamed == plain
         if fmt == "json":
@@ -343,12 +337,12 @@ class TestStreamFlag:
                 cli_files["schema"], "--format", "json"]
         assert main(argv) == 1
         plain = capsys.readouterr().out
-        assert main(argv + ["--stream"]) == 1
+        assert main(argv + ["--engine", "codegen"]) == 1
         assert capsys.readouterr().out == plain
 
     def test_validate_missing_file_exits_2(self, cli_files, capsys):
         assert main(["--root", "book", "validate", "/no/such/doc.xml",
-                     cli_files["schema"], "--stream"]) == 2
+                     cli_files["schema"], "--engine", "codegen"]) == 2
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_check_corpus_verdicts_identical(self, cli_files, fmt,
@@ -357,7 +351,7 @@ class TestStreamFlag:
                 cli_files["corpus"], "--jobs", "2", "--format", fmt]
         assert main(argv) == 0
         plain = capsys.readouterr().out
-        assert main(argv + ["--stream"]) == 0
+        assert main(argv + ["--engine", "codegen"]) == 0
         streamed = capsys.readouterr().out
         if fmt == "json":
             p, s = json.loads(plain), json.loads(streamed)
@@ -373,8 +367,7 @@ class TestStreamFlag:
 class TestEngineFlag:
     """``--engine`` selects the backend without touching the output
     contract: byte-identical stdout and the same exit status across
-    every built-in engine, with ``--stream`` surviving as a deprecated
-    alias."""
+    every built-in engine."""
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_validate_output_identical_across_engines(self, cli_files,
@@ -383,7 +376,7 @@ class TestEngineFlag:
                 cli_files["schema"], "--format", fmt]
         assert main(argv) == 0
         plain = capsys.readouterr().out
-        for engine in ("batch", "stream", "codegen", "auto"):
+        for engine in ("batch", "codegen", "auto"):
             assert main(argv + ["--engine", engine]) == 0, engine
             assert capsys.readouterr().out == plain, engine
 
@@ -391,34 +384,17 @@ class TestEngineFlag:
         assert main(["--root", "book", "validate", cli_files["doc"],
                      cli_files["schema"], "--engine", "psychic"]) == 2
 
-    def test_engine_and_stream_conflict_exits_2(self, cli_files,
-                                                capsys):
-        assert main(["--root", "book", "validate", cli_files["doc"],
-                     cli_files["schema"], "--engine", "batch",
-                     "--stream"]) == 2
-
-    def test_stream_flag_warns_deprecation(self, cli_files, capsys):
-        argv = ["--root", "book", "validate", cli_files["doc"],
-                cli_files["schema"], "--stream"]
-        with pytest.warns(DeprecationWarning, match="--engine stream"):
-            assert main(argv) == 0
-
     def test_check_corpus_engines_identical(self, cli_files, capsys):
         argv = ["check-corpus", cli_files["lib_schema"],
                 cli_files["corpus"], "--format", "json"]
         assert main(argv) == 0
         plain = json.loads(capsys.readouterr().out)
         plain.pop("phases_s")
-        for engine in ("stream", "codegen", "auto"):
+        for engine in ("codegen", "auto"):
             assert main(argv + ["--engine", engine]) == 0, engine
             got = json.loads(capsys.readouterr().out)
             got.pop("phases_s")
             assert got == plain, engine
-
-    def test_serve_mode_and_engine_conflict_exits_2(self, cli_files,
-                                                    capsys):
-        assert main(["serve", "--stdio", "--engine", "stream",
-                     "--mode", "batch"]) == 2
 
     def test_serve_unknown_engine_exits_2(self, cli_files, capsys):
         assert main(["serve", "--stdio", "--engine", "psychic"]) == 2

@@ -56,16 +56,17 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("text", CASES)
     def test_text_reports_byte_identical_to_stream(self, text):
-        """Codegen, the deprecated ``stream`` engine name (an alias of
-        codegen) and the batch reference give the same report or the
-        same error."""
+        """Codegen, reached directly and through the ``auto`` engine
+        name, and the batch reference give the same report or the same
+        error.  (The name predates 2.0, which removed ``stream``, an
+        alias of codegen.)"""
         handle = _handle()
         expected = _outcome(lambda: _batch(handle.dtd, text))
         cg = CodegenValidator(handle)
         assert _outcome(lambda: cg.validate_text(text)) == expected
         if text.startswith("<"):  # engines take anything else as a path
-            stream = engines.create("stream", handle)
-            assert _outcome(lambda: stream.validate(text)) == expected
+            auto = engines.create("auto", handle)
+            assert _outcome(lambda: auto.validate(text)) == expected
 
     def test_mmap_path_matches_text(self, tmp_path):
         handle = _handle()
@@ -168,7 +169,7 @@ class TestCompileSubset:
 
     def test_supported_schema_reports_codegen(self):
         handle = _handle()
-        assert handle.engines() == ["auto", "batch", "codegen", "stream"]
+        assert handle.engines() == ["auto", "batch", "codegen"]
         assert as_handle(_blowup_dtdc()).engines() == handle.engines()
 
 
@@ -183,22 +184,6 @@ class TestCompilations:
                      if m["name"] == "codegen_compilations"]
         assert metric["value"] == 1
         assert metric["labels"] == {}
-
-
-class TestDeprecatedStreamValidator:
-    def test_warns_and_validates_through_codegen(self):
-        from repro.stream import StreamValidator
-
-        dtd = book_dtdc()
-        text = serialize(book_document())
-        with pytest.warns(DeprecationWarning, match="removed in repro 2.0"):
-            sv = StreamValidator(dtd)
-        assert sv.validate_text(text).to_json() \
-            == _batch(dtd, text).to_json()
-        assert sv.last_run is not None  # a codegen RunState
-        assert type(sv.last_run).__module__ == "repro.codegen.runtime"
-        with pytest.raises(TypeError):
-            sv.validate_text(text, keep_whitespace=True)
 
 
 class TestConcurrentScanning:

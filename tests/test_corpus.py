@@ -15,6 +15,7 @@ from repro.corpus import (
     result_key_bytes, schema_fingerprint,
 )
 from repro.dtd.validate import ValidationReport
+from repro.errors import ReproError
 from repro.obs import Observability
 from repro.workloads import book_document, book_dtdc, random_corpus
 from repro.xmlio import serialize
@@ -337,8 +338,8 @@ class TestCorpusValidator:
         dtd, _docs = library
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             CorpusValidator(dtd, jobs=-1)
-        with pytest.raises(ValueError):
-            CorpusValidator(dtd, chunk_size=0)
+        with pytest.raises(ReproError, match="unknown engine 'psychic'"):
+            CorpusValidator(dtd, engine="psychic")
         with pytest.raises(TypeError):
             CorpusValidator("not a dtd")
 
@@ -358,7 +359,6 @@ class TestCorpusValidator:
         assert v._chunk_size(200) == 13  # ceil(200 / 16)
         assert v._chunk_size(10000) == 32  # capped
         assert v._chunk_size(1) == 1
-        assert CorpusValidator(dtd, chunk_size=5)._chunk_size(10000) == 5
 
 
 class TestCorpusCaching:
@@ -396,13 +396,14 @@ class TestCorpusCaching:
 
 
 class TestStreamingCorpus:
-    """``stream=True`` must be observationally identical to batch —
-    same verdicts, same keys, one shared cache."""
+    """The single-pass engine (``engine="codegen"``; ``stream=True``
+    until 2.0) must be observationally identical to batch — same
+    verdicts, same keys, one shared cache."""
 
     def test_stream_matches_batch_on_trees(self, library):
         dtd, docs = library
         batch = CorpusValidator(dtd).validate(docs)
-        strm = CorpusValidator(dtd, stream=True).validate(docs)
+        strm = CorpusValidator(dtd, engine="codegen").validate(docs)
         assert batch.verdicts_json() == strm.verdicts_json()
 
     def test_stream_matches_batch_on_paths_pooled(self, library, tmp_path):
@@ -413,7 +414,8 @@ class TestStreamingCorpus:
             path.write_text(serialize(doc))
             paths.append(str(path))
         batch = CorpusValidator(dtd, jobs=2).validate(paths)
-        strm = CorpusValidator(dtd, jobs=2, stream=True).validate(paths)
+        strm = CorpusValidator(dtd, jobs=2, engine="codegen") \
+            .validate(paths)
         assert batch.verdicts_json() == strm.verdicts_json()
 
     def test_cache_is_shared_across_modes(self, library, tmp_path):
@@ -429,7 +431,7 @@ class TestStreamingCorpus:
             paths.append(str(path))
         cache = ResultCache()
         cold = CorpusValidator(dtd, cache=cache).validate(paths)
-        warm = CorpusValidator(dtd, cache=cache, stream=True) \
+        warm = CorpusValidator(dtd, cache=cache, engine="codegen") \
             .validate(paths)
         assert warm.n_cached == len(paths)
         assert warm.verdicts_json() == cold.verdicts_json()
@@ -445,22 +447,22 @@ class TestStreamingCorpus:
             path = tmp_path / f"doc{i}.xml"
             path.write_text(serialize(doc))
             paths.append(str(path))
-        no_cache = CorpusValidator(dtd, stream=True).validate(paths)
-        cached = CorpusValidator(dtd, stream=True,
+        no_cache = CorpusValidator(dtd, engine="codegen").validate(paths)
+        cached = CorpusValidator(dtd, engine="codegen",
                                  cache=ResultCache()).validate(paths)
         assert [v.key for v in no_cache.verdicts] \
             == [v.key for v in cached.verdicts]
 
     def test_malformed_document_is_an_error_verdict(self, library):
         dtd, _docs = library
-        report = CorpusValidator(dtd, stream=True) \
+        report = CorpusValidator(dtd, engine="codegen") \
             .validate([("bad", "<not xml")])
         assert report.n_errors == 1 and report.verdicts[0].error
 
     def test_facade_passes_stream_through(self, library):
         dtd, docs = library
         batch = Validator(dtd).check_corpus(docs)
-        strm = Validator(dtd).check_corpus(docs, stream=True)
+        strm = Validator(dtd).check_corpus(docs, engine="codegen")
         assert batch.verdicts_json() == strm.verdicts_json()
 
 

@@ -4,12 +4,9 @@ One seam, many call sites: ``Validator.check(doc, engine=...)``, the
 CLI's ``--engine``, the server's ``engine`` field, and corpus workers
 all resolve backends through :mod:`repro.engines`.  These tests pin the
 registry contract (registration, built-in protection, unknown-name
-errors), the facade redesign (legacy ``check`` untouched,
-``check_stream`` deprecated but equivalent), and report byte-identity
-across every built-in engine.
+errors), the facade redesign (legacy ``check`` untouched), and report
+byte-identity across every built-in engine.
 """
-
-import warnings
 
 import pytest
 
@@ -25,7 +22,7 @@ TEXT = serialize(book_document())
 
 class TestRegistry:
     def test_builtins_always_listed(self):
-        for name in ("auto", "batch", "stream", "codegen"):
+        for name in ("auto", "batch", "codegen"):
             assert name in engines.names()
 
     def test_create_unknown_engine(self):
@@ -64,17 +61,15 @@ class TestRegistry:
 
     def test_builtins_are_protected(self):
         with pytest.raises(ReproError, match="built-in"):
-            engines.register("stream", lambda handle, obs=None: None)
+            engines.register("codegen", lambda handle, obs=None: None)
         with pytest.raises(ReproError, match="built-in"):
             engines.unregister("batch")
 
-    def test_auto_and_stream_resolve_to_codegen(self):
+    def test_auto_resolves_to_codegen(self):
         assert engines.resolve("auto") == "codegen"
-        assert engines.resolve("stream") == "codegen"
         for name in ("batch", "codegen", "psychic"):
             assert engines.resolve(name) == name
-        for name in ("auto", "stream"):
-            assert engines.create(name, book_dtdc()).name == "codegen"
+        assert engines.create("auto", book_dtdc()).name == "codegen"
 
     def test_invalid_name_rejected(self):
         with pytest.raises(ReproError, match="invalid engine name"):
@@ -85,7 +80,7 @@ class TestValidatorFacade:
     def test_reports_byte_identical_across_engines(self):
         v = Validator(book_dtdc())
         reports = {name: v.check(TEXT, engine=name).to_json()
-                   for name in ("batch", "stream", "codegen", "auto")}
+                   for name in ("batch", "codegen", "auto")}
         assert len(set(reports.values())) == 1
 
     def test_legacy_check_signature_unchanged(self):
@@ -99,21 +94,11 @@ class TestValidatorFacade:
     def test_sigma_with_engine_is_a_type_error(self):
         v = Validator(book_dtdc())
         with pytest.raises(TypeError, match="sigma"):
-            v.check(TEXT, v.dtd.constraints, engine="stream")
-
-    def test_check_stream_warns_and_delegates(self):
-        v = Validator(book_dtdc())
-        with pytest.warns(DeprecationWarning,
-                          match="removed in repro 2.0"):
-            old = v.check_stream(TEXT)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            new = v.check(TEXT, engine="stream")
-        assert old.to_json() == new.to_json()
+            v.check(TEXT, v.dtd.constraints, engine="codegen")
 
     def test_tree_rejected_by_single_pass_engines(self):
         v = Validator(book_dtdc())
-        for name in ("stream", "codegen"):
+        for name in ("auto", "codegen"):
             with pytest.raises(TypeError, match="engine='batch'"):
                 v.check(book_document(), engine=name)
 
@@ -126,14 +111,14 @@ class TestValidatorFacade:
         path.write_text(TEXT)
         v = Validator(book_dtdc())
         reports = {name: v.check(path, engine=name).to_json()
-                   for name in ("batch", "stream", "codegen")}
+                   for name in ("batch", "codegen", "auto")}
         assert len(set(reports.values())) == 1
 
     def test_check_corpus_engine_equivalence(self):
         v = Validator(book_dtdc())
         docs = [("a", TEXT), ("b", "<book/>")]
         verdicts = {}
-        for name in ("batch", "stream", "codegen", "auto"):
+        for name in ("batch", "codegen", "auto"):
             verdicts[name] = v.check_corpus(
                 docs, engine=name).verdicts_json()
         assert len(set(verdicts.values())) == 1
@@ -141,16 +126,9 @@ class TestValidatorFacade:
     def test_corpus_reports_the_resolved_engine(self):
         from repro.corpus import CorpusValidator
 
-        for name in ("auto", "stream", "codegen"):
+        for name in ("auto", "codegen"):
             assert CorpusValidator(book_dtdc(), engine=name).engine \
                 == "codegen"
-        assert CorpusValidator(book_dtdc(), stream=True).engine \
-            == "codegen"
-
-    def test_check_corpus_engine_and_stream_conflict(self):
-        v = Validator(book_dtdc())
-        with pytest.raises(ValueError, match="not both"):
-            v.check_corpus([("a", TEXT)], stream=True, engine="batch")
 
 
 class TestSchemaHandleSurface:
@@ -170,5 +148,4 @@ class TestSchemaHandleSurface:
             BOOK_DTD_TEXT + "\n%% constraints\n" + BOOK_CONSTRAINTS_TEXT,
             root="book")
         payload = registry.get("book").to_dict()
-        assert payload["engines"] \
-            == ["auto", "batch", "codegen", "stream"]
+        assert payload["engines"] == ["auto", "batch", "codegen"]

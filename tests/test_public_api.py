@@ -3,12 +3,10 @@
 ``EXPECTED_ALL`` is a literal snapshot of ``repro.__all__``.  Changing
 the public surface — adding, removing, or renaming a top-level name —
 must update this file in the same commit, which makes every surface
-change visible in review.  The deprecated entry points are part of the
-surface too: they must warn (exactly once per access) and must still
-work.
+change visible in review.  The entry points deprecated in 1.x
+(``repro.validate``, ``repro.check``, ``repro.check_constraint``) were
+removed in 2.0 and must stay gone.
 """
-
-import warnings
 
 import pytest
 
@@ -52,8 +50,6 @@ EXPECTED_ALL = sorted([
     # workloads + xmlio
     "book_document", "book_dtdc",
     "parse_document", "parse_dtd", "parse_dtdc", "serialize",
-    # deprecated entry points (still public; they warn)
-    "check", "check_constraint", "validate",
     # metadata
     "__version__",
 ])
@@ -68,9 +64,7 @@ class TestFrozenSurface:
 
     def test_every_name_resolves(self):
         for name in repro.__all__:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert getattr(repro, name) is not None, name
+            assert getattr(repro, name) is not None, name
 
     def test_no_unlisted_public_names(self):
         """Anything importable without an underscore prefix is either
@@ -86,34 +80,6 @@ class TestFrozenSurface:
 
 
 class TestDeprecatedEntryPoints:
-    @pytest.mark.parametrize("name, hint", [
-        ("validate", "Validator(dtd).validate(doc)"),
-        ("check", "Validator(dtd).check(doc)"),
-        ("check_constraint", "Validator(dtd).check(doc, [phi])"),
-    ])
-    def test_warns_once_with_migration_hint(self, name, hint):
-        with pytest.warns(DeprecationWarning) as caught:
-            getattr(repro, name)
-        assert len(caught) == 1
-        message = str(caught[0].message)
-        assert hint in message
-        assert "README.md" in message
-        # v1.2: the warning is versioned and points at the registry API
-        assert "will be removed in repro 2.0" in message
-        assert "SchemaRegistry" in message
-
-    def test_deprecated_validate_still_works(self):
-        from repro import Validator, book_document, book_dtdc
-
-        with pytest.warns(DeprecationWarning):
-            legacy = repro.validate
-        doc, dtd = book_document(), book_dtdc()
-        old = legacy(doc, dtd)
-        new = Validator(dtd).validate(doc)
-        assert old.ok == new.ok
-        assert [str(v) for v in old.violations] \
-            == [str(v) for v in new.violations]
-
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.no_such_name

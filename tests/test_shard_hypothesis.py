@@ -33,7 +33,7 @@ from repro.xmlio import parse_document, serialize
 from repro.xmlio.dtdparse import parse_dtdc, serialize_dtdc
 
 SHARD_COUNTS = (1, 2, 3, 7)
-ENGINES = ("batch", "stream", "codegen")
+ENGINES = ("batch", "codegen")
 
 #: all four merge kinds: two ID constraints, a set-valued foreign key
 #: into IDs, and an ID inverse

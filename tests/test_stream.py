@@ -141,16 +141,20 @@ class TestWellformedness:
 
 
 class TestCheckStream:
+    """The single-pass facade call, ``check(source, engine="codegen")``
+    (``check_stream`` until 2.0)."""
+
     def test_text_input(self, lib):
-        report = Validator(lib).check_stream(
-            '<library><entry isbn="1" shelf="a"/></library>')
+        report = Validator(lib).check(
+            '<library><entry isbn="1" shelf="a"/></library>',
+            engine="codegen")
         assert report.ok
 
     def test_path_input(self, lib, tmp_path):
         path = tmp_path / "doc.xml"
         path.write_text('<library><entry isbn="1" shelf="a"/>'
                         '<ref to="9"/></library>')
-        report = Validator(lib).check_stream(path)
+        report = Validator(lib).check(path, engine="codegen")
         assert not report.ok
         assert report.violations[0].code == "foreign-key"
 
@@ -158,15 +162,8 @@ class TestCheckStream:
         dtd, doc = book
         text = serialize(doc)
         v = Validator(dtd)
-        assert v.check_stream(text).to_json() == v.validate(
+        assert v.check(text, engine="codegen").to_json() == v.validate(
             parse_document(text, dtd.structure)).to_json()
-
-    def test_plan_cached_on_validator(self, lib):
-        v = Validator(lib)
-        v.check_stream("<library/>")
-        plan = v._stream_plan
-        v.check_stream("<library/>")
-        assert v._stream_plan is plan
 
 
 # -- label interning --------------------------------------------------------
