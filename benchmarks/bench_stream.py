@@ -25,10 +25,12 @@ feed its bytes scan must be at least 5x the shared
 :class:`~repro.xmlio.tokenizer.Tokenizer`'s pass alone — a lower bound
 on any validator that folds the tokenizer's events, such as the
 streaming interpreter the engine replaced.  A dense leg runs
-pretty-printed ``random_corpus`` files of 60 and 2000 vertices, where
-every element is Σ-relevant, through ``Validator.check(path,
-engine="codegen")`` (the mmap path) and checks byte-identity with
-batch; it sets no speed bar.
+pretty-printed files of 60 and 2000 vertices, where every element is
+Σ-relevant, through ``Validator.check(path, engine="codegen")`` (the
+mmap path) and checks byte-identity with batch, on both sides of the
+engine's constraint split: ``random_corpus`` library files, whose Σ the
+constraint kernels check, and ``federated_corpus`` registry files,
+whose ``L_id`` Σ stays on the evaluators; it sets no speed bar.
 
 Run styles::
 
@@ -55,7 +57,7 @@ else:  # `python benchmarks/bench_stream.py` — repo root not on sys.path
 from repro.codegen import CodegenValidator
 from repro.dtd.validate import validate
 from repro.server.registry import as_handle
-from repro.workloads.generators import random_corpus
+from repro.workloads.generators import federated_corpus, random_corpus
 from repro.xmlio import serialize
 from repro.xmlio.dtdparse import parse_dtdc
 from repro.xmlio.parser import parse_document
@@ -203,21 +205,35 @@ def test_e19_throughput_at_least_batch(form, tmp_path):
 # -- E23: the scanner ------------------------------------------------------
 
 
+def _dense_corpora():
+    """(name, dtd, docs) of 60 and 2000 vertices per document, on both
+    sides of codegen's constraint split: ``random_corpus`` library
+    documents (half of them with one violation), whose Σ the constraint
+    kernels check, and ``federated_corpus`` registry documents (with
+    cross-document and ghost references), whose ``L_id`` Σ stays on the
+    evaluators."""
+    for n_vertices, n_docs in ((60, 40), (2000, 4)):
+        yield ("dense", *random_corpus(
+            n_docs=n_docs, doc_vertices=n_vertices, invalid_fraction=0.5,
+            seed=n_vertices))
+        yield ("registry", *federated_corpus(
+            n_docs=n_docs, doc_vertices=n_vertices, cross_dup_fraction=0.3,
+            cross_ref_fraction=0.5, dangling_fraction=0.5,
+            seed=n_vertices))
+
+
 def _dense_mismatches(directory: str) -> tuple[int, int]:
-    """Pretty-printed ``random_corpus`` library files of 60 and 2000
-    vertices (half of them with one violation), written to
+    """The pretty-printed :func:`_dense_corpora` files, written to
     ``directory``: (files, codegen-over-mmap reports differing from
     batch)."""
     from repro import Validator
 
     files = mismatches = 0
-    for n_vertices, n_docs in ((60, 40), (2000, 4)):
-        dtd, docs = random_corpus(n_docs=n_docs, doc_vertices=n_vertices,
-                                  invalid_fraction=0.5, seed=n_vertices)
+    for name, dtd, docs in _dense_corpora():
         v = Validator(dtd)
-        for k, doc in enumerate(docs):
+        for doc in docs:
             text = serialize(doc)
-            path = os.path.join(directory, f"dense-{n_vertices}-{k}.xml")
+            path = os.path.join(directory, f"{name}-{files}.xml")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             files += 1
@@ -227,9 +243,10 @@ def _dense_mismatches(directory: str) -> tuple[int, int]:
 
 
 def test_e23_codegen_dense_files_match_batch(tmp_path):
-    """Acceptance: on constraint-dense files, more Σ-relevant elements
-    than one constraint-feed batch included, the mmap path is
-    byte-identical to batch."""
+    """Acceptance: on constraint-dense files, more elements than one
+    constraint-feed batch included, the mmap path is byte-identical to
+    batch — with Σ on the constraint kernels (library) and on the
+    evaluators (registry)."""
     files, mismatches = _dense_mismatches(str(tmp_path))
     assert files and mismatches == 0
 
@@ -374,9 +391,9 @@ def _report_in(directory: str, n_docs: int, smoke: bool) -> int:
     print(f"E23 codegen: 8k-item feed, tokenizer pass "
           f"{tokenize * 1e3:.1f} ms vs codegen bytes "
           f"{feed_codegen * 1e3:.1f} ms ({speedup:.1f}x)")
-    print(f"E23 dense: {dense_files} library files (60 and 2000 "
-          f"vertices) via mmap, {dense_mismatches} codegen/batch "
-          "mismatch(es)")
+    print(f"E23 dense: {dense_files} library (kernel) and registry "
+          f"(evaluator) files of 60 and 2000 vertices via mmap, "
+          f"{dense_mismatches} codegen/batch mismatch(es)")
 
     ok = (not any(mismatches.values()) and feed_equal
           and dense_mismatches == 0 and speedup >= 5.0

@@ -3,18 +3,22 @@
 :func:`scanners` builds, in-process from a compiled
 :class:`~repro.stream.plan.StreamPlan`, two scanner closures — one over
 ``str`` buffers, one over ``bytes``/``mmap`` buffers — each a single
-pass that parses, checks structure, and feeds Σ-relevant vertices into
-a :class:`RunState`.  Their tables are specialised to the schema:
+pass that parses, checks structure, and feeds Σ into a
+:class:`RunState`: start-tag attribute maps into the constraint kernels
+(:mod:`repro.codegen.kernels`) and closed retained vertices into the
+evaluators.  Their tables are specialised to the schema:
 
 - **content models** step through the plan's lazily-determinised
   :class:`~repro.regexlang.automaton.Matcher`: a transition is one
   lookup in the matcher's own row for the state (:attr:`Matcher.rows`),
   and a row fills on first use, so no content model is determinised
   beyond what documents reach;
-- **watched attributes** — only the attribute names Σ reads
-  (:attr:`~repro.stream.plan.LabelPlan.watched`) are materialized on
-  retained vertices; every other attribute costs one membership test
-  for the undeclared/missing structural checks and is never copied;
+- **kernel feeds** — per label, the kernel feeds its start tags run
+  (:attr:`~repro.stream.plan.StreamPlan.feeds`), called with the vid
+  and the tag's unescaped attribute map;
+- **watched attributes** — only the attribute names the evaluators read
+  (:attr:`~repro.stream.plan.LabelPlan.watched`) are materialized, as
+  value sets, on retained vertices;
 - **Σ-irrelevant run labels** (:func:`run_labels`) — labels no
   constraint watches, with no declared attributes and a text-or-empty
   content model, whose runs a bounded regex match consumes.
@@ -35,8 +39,10 @@ What a scanner does per construct:
   regex match, so neither the regex engine's backtracking stack nor the
   copy an ``mmap`` (which has no ``count``) needs to count a match in
   grows with the run; the parent DFA advances arithmetically;
-- closed Σ-relevant vertices are buffered and handed to
-  :meth:`RunState.flush_region` in batches of :data:`FLUSH_BATCH`.
+- closed retained vertices (of the labels the evaluator-path
+  constraints read) are buffered and handed to
+  :meth:`RunState.flush_region` in batches of :data:`FLUSH_BATCH`; a
+  schema whose Σ is all kernels retains none.
 
 Both scanners use the ``str`` whitespace class: the bytes scanner runs
 on ASCII input only, where that class is :data:`_WS_BYTES`, and its
@@ -52,6 +58,7 @@ from __future__ import annotations
 import re
 from operator import attrgetter, itemgetter
 
+from repro.codegen.kernels import kernel_for
 from repro.constraints.evaluators import IDConstraintEvaluator, evaluator_for
 from repro.dtd.validate import ValidationReport
 from repro.errors import XMLSyntaxError
@@ -61,8 +68,8 @@ from repro.xmlio.escape import unescape
 
 __all__ = ["FLUSH_BATCH", "RUN_MAX", "RunState", "run_labels", "scanners"]
 
-#: closed Σ-relevant vertices buffered before :meth:`RunState.flush_region`
-#: runs (a batch is flushed only while no Σ-relevant element is open)
+#: closed retained vertices buffered before :meth:`RunState.flush_region`
+#: runs (a batch is flushed only while no retained element is open)
 FLUSH_BATCH = 256
 
 #: the ASCII characters ``str.isspace()`` (and ``str``-mode ``\s``)
@@ -91,18 +98,18 @@ def run_labels(plan) -> dict[str, bool]:
     """The Σ-irrelevant leaf labels whose runs the scanner consumes with
     a regex match, each mapped to whether one text chunk is legal in it.
 
-    Such a label is retained by no constraint, captured as text by no
-    parent, declares no attributes, and has a content model that
-    accepts exactly what the run pattern admits — the empty word
-    (``<L/>``, ``<L></L>``) and, when text is legal, one text chunk
-    (``<L>text</L>``).  Elements matched by the pattern can contribute
-    nothing to the report beyond a vid and one parent-DFA step, which
-    the scanner applies arithmetically.
+    Such a label is retained by no constraint, fed to no kernel,
+    captured as text by no parent, declares no attributes, and has a
+    content model that accepts exactly what the run pattern admits —
+    the empty word (``<L/>``, ``<L></L>``) and, when text is legal, one
+    text chunk (``<L>text</L>``).  Elements matched by the pattern can
+    contribute nothing to the report beyond a vid and one parent-DFA
+    step, which the scanner applies arithmetically.
     """
     runs = {}
     for label, lp in plan.labels.items():
-        if (label in plan.relevant or label in plan.text_fields
-                or lp.declared_attrs):
+        if (label in plan.relevant or label in plan.feeds
+                or label in plan.text_fields or lp.declared_attrs):
             continue
         m = plan.matchers[label]
         if m.is_accepting_state(0):
@@ -219,6 +226,7 @@ def _scanner(plan, runs, *, as_bytes):
         structural = rs.structural
         region = rs.region
         flush_region = rs.flush_region
+        feeds = rs.feeds
         stack = []
         # frame layout: 0 mode label  1 str label  2 vid  3 matcher rows
         # 4 state  5 viable  6 dead state  7 vertex  8 wants  9 texts
@@ -357,8 +365,9 @@ def _scanner(plan, runs, *, as_bytes):
                 else:
                     slabel = dec(label)
                     keep = _EMPTY_FS
-                # amap: every attribute; attrs: the watched ones, as the
-                # value sets a retained vertex carries
+                # amap: every attribute, unescaped (what kernels read);
+                # attrs: the watched ones, as the value sets a retained
+                # vertex carries
                 attrs = {}
                 if span:
                     span = dec(span)
@@ -443,6 +452,11 @@ def _scanner(plan, runs, *, as_bytes):
                         sv = StreamVertex(vid, slabel, {
                             name: frozenset((val,))
                             for name, val in amap.items()})
+                if feeds:
+                    kf = feeds.get(slabel)
+                    if kf is not None:
+                        for feed in kf:
+                            feed(vid, amap)
                 pos = m.end()
                 if slash:
                     # <x/>: closed here, with no children
@@ -605,15 +619,28 @@ def _scanner(plan, runs, *, as_bytes):
 
 
 class RunState:
-    """Mutable constraint-side state of one scanner pass: the evaluator
-    feed and report assembly.
+    """Mutable constraint-side state of one scanner pass: the kernel
+    and evaluator feeds and report assembly.
 
-    The scanner owns parsing, structural checks and vertex construction;
-    it appends closed Σ-relevant vertices to :attr:`region` and calls
-    :meth:`flush_region` once a batch of :data:`FLUSH_BATCH` has
-    gathered while no Σ-relevant element is open, and once more before
-    :meth:`finish`.  The report is byte-identical (``to_json()``) to the
-    batch ``validate(parse_document(text, S), dtd)`` because:
+    The scanner owns parsing, structural checks and vertex construction.
+    Σ is split once per schema (:attr:`~repro.stream.plan.StreamPlan.kernels`):
+
+    - **kernels** (:mod:`repro.codegen.kernels`) check the
+      attribute-only ``L``/``L_u`` keys and foreign keys.  At each start
+      tag the scanner calls the feeds :attr:`feeds` lists for its label
+      with the vid and the attribute map; nothing of the element is
+      retained.  Foreign keys resolve here, in :meth:`finish`.
+    - **evaluators** check the rest — §3.4 sub-element fields,
+      inverses, the ``L_id`` merge class and static violations —
+      through the :class:`~repro.constraints.evaluators.ConstraintEvaluator`
+      machinery.  The scanner appends closed vertices of the labels
+      they read (:attr:`~repro.stream.plan.StreamPlan.relevant`) to
+      :attr:`region` and calls :meth:`flush_region` once a batch of
+      :data:`FLUSH_BATCH` has gathered while no such element is open,
+      and once more before :meth:`finish`.
+
+    The report is byte-identical (``to_json()``) to the batch
+    ``validate(parse_document(text, S), dtd)`` because:
 
     - **vids** are assigned in start-tag order, which is exactly the
       pre-order rank :meth:`DataTree.create` hands out during a parse;
@@ -626,44 +653,56 @@ class RunState:
       state held at the first dead transition reproduces the
       ``prefix_length`` / ``expected_after`` diagnostics without ever
       buffering the child word;
-    - **constraints** reuse the
-      :class:`~repro.constraints.evaluators.ConstraintEvaluator`
-      machinery.  A closed element is fed through the same ``add()``
+    - **kernels** see start tags in vid order, so their groups and
+      sources are already in the order a batch ``full()`` emits them;
+    - **evaluators** see closed elements through the same ``add()``
       path as an incremental insertion, in strict document (pre-)order:
-      the region drains only while no Σ-relevant element is open, and
+      the region drains only while no retained element is open, and
       sorted by vid, so every vertex opened later has a larger vid than
       anything flushed and each evaluator sees the vertex sequence a
       batch ``full()`` pass would (dict insertion orders — and so
       emission orders — cannot drift).  Inverse evaluators, whose
       violated-pair order is a function of the whole extension, and
       static (schema-level) violations are deferred to one
-      end-of-document ``full()`` over the retained vertices.
+      end-of-document ``full()`` over the retained vertices;
+    - :meth:`finish` emits every constraint at its Σ position.
 
-    Peak memory is O(open-element depth + retained Σ-relevant vertices
-    + evaluator residual state): vertices whose label no constraint or
-    declared-ID attribute cares about are never retained.
+    With observability on, every constraint's counters are read off its
+    finished state (``settled_counts``), so they equal batch's even
+    where document order is not ``full()``'s order; neither kernels nor
+    evaluators count while being fed.
+
+    Peak memory is O(open-element depth + kernel rows + retained
+    vertices + evaluator residual state): an element is retained only
+    when an evaluator or the declared-ID bookkeeping reads its label.
     """
 
     __slots__ = ("plan", "obs", "structural", "region", "index",
-                 "evaluators", "dispatch", "id_listeners", "next_vid",
-                 "n_skipped")
+                 "evaluators", "dispatch", "id_listeners", "feeds",
+                 "next_vid", "n_skipped")
 
     def __init__(self, plan, obs=None):
-        obs = obs or NULL_OBS
         self.plan = plan
-        self.obs = obs
+        self.obs = obs or NULL_OBS
         #: ((vid, rank), code, message, vids): rank -1 root check, 0
         #: element/content-model, 1 attribute checks
         self.structural: list[tuple] = []
         self.index = StreamIndex(plan.id_map)
-        self.evaluators = [evaluator_for(c, self.index, plan.id_map,
-                                         obs=obs if obs.enabled else None)
-                           for c in plan.constraints]
+        #: one kernel or evaluator per Σ position
+        self.evaluators = evaluators = [
+            evaluator_for(c, self.index, plan.id_map) if spec is None
+            else kernel_for(spec, c, name)
+            for c, spec, name in zip(plan.constraints, plan.kernels,
+                                     plan.names)]
+        #: label -> the kernel feeds a start tag of that label runs
+        self.feeds = {
+            label: tuple(evaluators[i].feeds[role] for i, role in sites)
+            for label, sites in plan.feeds.items()}
         self.dispatch = {
-            label: tuple(self.evaluators[i] for i in lp.evaluators)
+            label: tuple(evaluators[i] for i in lp.evaluators)
             for label, lp in plan.labels.items() if lp.evaluators}
         self.id_listeners = tuple(
-            ev for i, ev in enumerate(self.evaluators)
+            ev for i, ev in enumerate(evaluators)
             if isinstance(ev, IDConstraintEvaluator)
             and i not in plan.deferred)
         self.region: list = []
@@ -674,7 +713,7 @@ class RunState:
 
     def flush_region(self) -> None:
         """Feed buffered closed vertices to the evaluators in vid order
-        (drained only while no Σ-relevant element is open, so the
+        (drained only while no retained element is open, so the
         concatenation of flushes is globally vid-sorted)."""
         region = self.region
         if len(region) > 1:
@@ -695,35 +734,47 @@ class RunState:
 
     def finish(self) -> ValidationReport:
         """Assemble the report: structural violations in batch sweep
-        order, then every evaluator's emit (deferred ones run their
+        order, then every constraint's emit at its Σ position, each
+        under a ``codegen.emit`` span (deferred evaluators run their
         end-of-document ``full()`` first)."""
         obs = self.obs
+        if obs.enabled:
+            self._publish(obs)
         report = ValidationReport()
         self.structural.sort(key=itemgetter(0))
         for _key, code, message, vids in self.structural:
             report.add(code, message, vertices=vids)
-        deferred = self.plan.deferred
+        plan = self.plan
+        deferred = plan.deferred
+        span = obs.tracer.span
         for i, ev in enumerate(self.evaluators):
-            if obs.enabled:
-                with obs.span("codegen.emit",
-                              constraint=str(ev.constraint)):
-                    if i in deferred:
-                        ev.full()
-                    ev.emit(report)
-            else:
+            with span("codegen.emit", constraint=plan.names[i]):
                 if i in deferred:
                     ev.full()
                 ev.emit(report)
-        if obs.enabled:
-            obs.counter("codegen_elements",
-                        help="element vertices seen by the codegen "
-                        "engine").add(self.next_vid)
-            obs.counter("codegen_skipped_elements",
-                        help="elements admitted through the codegen "
-                        "sigma-irrelevant run fast path").add(self.n_skipped)
-            for label, members in self.index._ext.items():
-                obs.counter("codegen_dispatch_vertices", {"label": label},
-                            help="closed vertices dispatched to "
-                            "constraint evaluators by the codegen "
-                            "engine, per label").add(len(members))
         return report
+
+    def _publish(self, obs) -> None:
+        """Bind every constraint's counters before the emits (which
+        count violations, as do the deferred ``full()`` passes their
+        vertices, hits and misses), add the settled counts of the
+        others, and count elements."""
+        deferred = self.plan.deferred
+        for i, ev in enumerate(self.evaluators):
+            ev.attach_obs(obs)
+            if i not in deferred:
+                visited, hits, misses = ev.settled_counts()
+                ev.c_visited.add(visited)
+                ev.c_hits.add(hits)
+                ev.c_misses.add(misses)
+        obs.counter("codegen_elements",
+                    help="element vertices seen by the codegen "
+                    "engine").add(self.next_vid)
+        obs.counter("codegen_skipped_elements",
+                    help="elements admitted through the codegen "
+                    "sigma-irrelevant run fast path").add(self.n_skipped)
+        for label, members in self.index._ext.items():
+            obs.counter("codegen_dispatch_vertices", {"label": label},
+                        help="closed vertices dispatched to "
+                        "constraint evaluators by the codegen "
+                        "engine, per label").add(len(members))

@@ -236,6 +236,17 @@ class ConstraintEvaluator:
         if self._count and n:
             self.c_visited.add(n)
 
+    def settled_counts(self) -> tuple[int, int, int]:
+        """``(visited, hits, misses)`` as one :meth:`full` pass over the
+        vertices folded in so far would count them, read off the state.
+
+        A single-pass feed publishes these once the document is done:
+        its :meth:`add` calls come in document order, where a source can
+        precede its target and an ID owner its namesake, so counting at
+        :meth:`add` would not give :meth:`full`'s numbers.
+        """
+        raise NotImplementedError
+
     def emit(self, report: ViolationReport) -> None:
         """Append the current violations to ``report``."""
         before = len(report)
@@ -340,6 +351,11 @@ class KeyEvaluator(ConstraintEvaluator):
             return
         self.remove(v)
         self.add(v)
+
+    def settled_counts(self) -> tuple[int, int, int]:
+        misses = len(self.groups)
+        complete = sum(len(group) for group in self.groups.values())
+        return len(self.rows), complete - misses, misses
 
     def _emit(self, report: ViolationReport) -> None:
         for row in self.dups:
@@ -457,6 +473,12 @@ class ForeignKeyEvaluator(ConstraintEvaluator):
             if not by_row:
                 del self.src_by_row[row]
         self.dangling.pop(v.vid, None)
+
+    def settled_counts(self) -> tuple[int, int, int]:
+        misses = len(self.dangling)
+        complete = len(self.src_rows) - len(self.incomplete)
+        return (len(self.target_rows) + len(self.src_rows),
+                complete - misses, misses)
 
     def _emit(self, report: ViolationReport) -> None:
         for vid, v in self.dangling.items():
@@ -587,6 +609,12 @@ class ValueForeignKeyEvaluator(ConstraintEvaluator):
         self.missing.pop(v.vid, None)
         self.not_single.discard(v.vid)
         self.violating.pop(v.vid, None)
+
+    def settled_counts(self) -> tuple[int, int, int]:
+        misses = sum(self.missing.values())
+        values = sum(len(vs) for vs in self.src_values.values())
+        return (len(self.targets.cached) + len(self.src_values),
+                values - misses, misses)
 
     def _emit(self, report: ViolationReport) -> None:
         for vid, v in self.violating.items():
@@ -887,6 +915,12 @@ class IDConstraintEvaluator(ConstraintEvaluator):
                 self.clashing[vid] = owner
             else:
                 self.clashing.pop(vid, None)
+
+    def settled_counts(self) -> tuple[int, int, int]:
+        owners = self.index.id_owners
+        hits = sum(1 for value in self.id_of.values()
+                   if len(owners.get(value, ())) > 1)
+        return len(self.members), hits, len(self.id_of) - hits
 
     def _emit(self, report: ViolationReport) -> None:
         for v in self.not_single.values():

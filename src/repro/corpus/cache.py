@@ -42,6 +42,7 @@ from typing import Optional, Union
 
 from repro.dtd.dtdc import DTDC
 from repro.dtd.validate import ValidationReport
+from repro.xmlio import encode_document
 
 __all__ = ["ResultCache", "result_key", "result_key_bytes",
            "result_key_hasher", "schema_fingerprint"]
@@ -87,8 +88,11 @@ def result_key_bytes(data: bytes, fingerprint: str) -> str:
 
 
 def result_key(xml_text: str, fingerprint: str) -> str:
-    """The content address of one (document text, schema) validation."""
-    return result_key_bytes(xml_text.encode("utf-8"), fingerprint)
+    """The content address of one (document text, schema) validation:
+    the key of its UTF-8 bytes.  A text holding a lone surrogate has no
+    such bytes and raises :class:`~repro.errors.XMLSyntaxError`
+    (:func:`~repro.xmlio.encode_document`)."""
+    return result_key_bytes(encode_document(xml_text), fingerprint)
 
 
 def _crc(key: bytes, body: bytes) -> bytes:

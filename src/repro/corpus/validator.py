@@ -174,7 +174,10 @@ class CorpusValidator:
                  ) -> "list[Optional[str]]":
         """Resolve cache keys; returns one key (or None) per entry.
 
-        Path inputs are keyed on raw file bytes.  On the batch path the
+        Text inputs are keyed on their UTF-8 bytes; a text holding a
+        lone surrogate has none, so its entry is rewritten to
+        ``("error", message)`` with an empty key.  Path inputs are
+        keyed on raw file bytes.  On the batch path the
         coordinator needs the decoded text anyway (workers receive
         text), so the entry is rewritten to ``("text", ...)`` from the
         same read, or to ``("error", message)`` when its bytes are not
@@ -187,7 +190,11 @@ class CorpusValidator:
         keys: list[Optional[str]] = []
         for i, (doc_id, kind, value) in enumerate(entries):
             if kind == "text":
-                keys.append(result_key(value, self.fingerprint))
+                try:
+                    keys.append(result_key(value, self.fingerprint))
+                except XMLSyntaxError as exc:
+                    keys.append("")
+                    entries[i] = (doc_id, "error", str(exc))
             elif self.engine == "codegen" and self.cache is None:
                 keys.append(None)
             else:

@@ -75,6 +75,7 @@ from repro.server.http import (
 )
 from repro.server.registry import SchemaNotFound, SchemaRegistry
 from repro.server.telemetry import RequestWindow, SlowLog, TraceStore
+from repro.xmlio import encode_document
 
 __all__ = ["ValidationServer"]
 
@@ -723,7 +724,7 @@ class ValidationServer:
         if "_body" in req:
             return req["_body"], req["_hasher"]
         if "document" in req:
-            data = str(req["document"]).encode("utf-8")
+            data = encode_document(str(req["document"]))
         elif "document_path" in req:
             with open(req["document_path"], "rb") as fh:
                 data = fh.read()

@@ -53,7 +53,7 @@ from repro.shard.aggregates import CorpusViolation, fold_aggregates
 from repro.shard.locality import Locality, classify_sigma
 from repro.shard.node import LocalNode, ShardNode
 from repro.xmlio.dtdparse import parse_dtdc, serialize_dtdc
-from repro.xmlio import decode_document
+from repro.xmlio import decode_document, encode_document
 
 __all__ = ["ShardReport", "ShardedCorpusValidator", "shard_of"]
 
@@ -283,7 +283,12 @@ class ShardedCorpusValidator:
                         # error is the document's verdict
                         entries[i] = (doc_id, "error", str(exc))
                 else:
-                    keys.append(result_key(value, self.fingerprint))
+                    try:
+                        keys.append(result_key(value, self.fingerprint))
+                    except XMLSyntaxError as exc:
+                        # a lone surrogate: no bytes to key, hash or ship
+                        keys.append("")
+                        entries[i] = (doc_id, "error", str(exc))
                 texts.append(value)
 
             need_aggs = bool(self._merge_positions)
@@ -307,7 +312,7 @@ class ShardedCorpusValidator:
 
             by_shard: dict[int, list[int]] = {}
             for i in pending:
-                s = shard_of(texts[i].encode("utf-8"), self.shards)
+                s = shard_of(encode_document(texts[i]), self.shards)
                 by_shard.setdefault(s, []).append(i)
         finally:
             if span:

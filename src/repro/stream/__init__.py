@@ -3,9 +3,10 @@
 :func:`compile_plan` compiles a schema once into a :class:`StreamPlan`:
 per-label content-model matchers, attribute declarations, and the
 labels and fields Σ reads.  The single-pass engine,
-:mod:`repro.codegen`, builds its scanners from the plan and retains
-Σ-relevant elements as :class:`StreamVertex` objects indexed by a
-:class:`StreamIndex`::
+:mod:`repro.codegen`, builds its scanners from the plan, feeds the
+constraint kernels the plan names from start-tag attribute maps, and
+retains the elements the other constraints read as
+:class:`StreamVertex` objects indexed by a :class:`StreamIndex`::
 
     from repro import Validator
 

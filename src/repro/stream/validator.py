@@ -1,8 +1,9 @@
 """The streamed vertex model of the single-pass engine.
 
 :class:`StreamVertex` and :class:`StreamIndex` are what the single-pass
-engine (:mod:`repro.codegen`) retains of a Σ-relevant element after its
-close tag, and the Σ-relevant shard of an attribute index it builds as
+engine (:mod:`repro.codegen`) retains of an element that an
+evaluator-path constraint reads (constraint kernels retain nothing)
+after its close tag, and the shard of an attribute index it builds as
 closed vertices are fed to the constraint evaluators — no
 :class:`~repro.datamodel.tree.DataTree` and no
 :class:`~repro.datamodel.indexes.AttributeIndex`.  Why the reports stay

@@ -54,6 +54,22 @@ def decode_document(data: bytes) -> str:
             line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
+def encode_document(text: str) -> bytes:
+    """``text`` encoded as UTF-8, the one document encoding.
+
+    The only characters UTF-8 cannot encode are lone surrogates, which
+    lie outside XML 1.0's ``Char`` production; the first one raises
+    :class:`XMLSyntaxError` at its line, worded like the error for a
+    character reference to it.
+    """
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise XMLSyntaxError(
+            f"character U+{ord(text[exc.start]):04X} is not an XML "
+            "character", line=text.count("\n", 0, exc.start) + 1) from None
+
+
 def unescape(text: str, line: int | None = None) -> str:
     """Resolve predefined and numeric character references.
 

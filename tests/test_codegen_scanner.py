@@ -17,12 +17,15 @@ Properties of the one-regex-per-tag scanner in
   duplicate-attribute, stray-character and truncation edits; text
   after a Σ-irrelevant run reports its errors at the line the
   tokenizer does.
-- **Batched constraint feed.**  Closed Σ-relevant vertices reach the
-  evaluators in batches; documents longer than one batch, and
-  Σ-relevant elements nested in Σ-relevant ones (sub-element fields),
-  match batch, and with observability on the per-constraint evaluator
-  counters match batch's and the per-label dispatch counters count the
-  document's Σ-relevant elements.
+- **Batched constraint feed.**  Closed vertices of the labels the
+  evaluator-path constraints read reach the evaluators in batches;
+  documents longer than one batch, retained elements nested in
+  retained ones (sub-element fields), and ``L_id`` documents whose
+  references precede their targets match batch, and with
+  observability on the per-constraint counters (vertices visited,
+  index hits and misses, violations) match batch's for kernels and
+  evaluators alike, and the per-label dispatch counters count the
+  document's retained elements.
 - **Bounded runs.**  A Σ-irrelevant run longer than one run match is
   consumed in several, with the parent content model stepped across
   them.
@@ -49,6 +52,7 @@ from repro.obs import Observability
 from repro.server.registry import as_handle
 from repro.workloads.generators import (
     library_schema, random_check_sigma, random_document, random_structure,
+    registry_schema,
 )
 from repro.xmlio import serialize
 from repro.xmlio.parser import parse_document
@@ -468,10 +472,30 @@ def _nested_text(n_shelves: int, per_shelf: int) -> str:
     return "".join(parts)
 
 
+def _registry_text(n_persons: int, n_mentions: int) -> str:
+    """More ``L_id`` siblings than one flush batch (both constraints
+    stay on evaluators), with one shared pid and one ghost mention."""
+    parts = ["<registry>"]
+    parts += [f'<person pid="p{i % (n_persons - 1)}"/>'
+              for i in range(n_persons)]
+    parts += [f'<mention who="p{(i * 7) % (n_persons + 2)}"/>'
+              for i in range(n_mentions)]
+    parts.append("</registry>")
+    return "".join(parts)
+
+
 BATCH_CASES = {
     "siblings": (library_schema, _library_text(2 * FLUSH_BATCH + 7,
                                                FLUSH_BATCH + 3)),
     "nested": (_nested_dtdc, _nested_text(6, FLUSH_BATCH // 2 + 5)),
+    "registry": (registry_schema, _registry_text(FLUSH_BATCH + 9,
+                                                 FLUSH_BATCH + 5)),
+    # a mention before the person it names, and a pid owned twice
+    # after it: add() order is not full()'s, yet the counters are
+    "registry-forward": (registry_schema, (
+        '<registry><mention who="p1"/><person pid="p1"/>'
+        '<person pid="p2"/><person pid="p1"/><mention who="p2"/>'
+        '<mention who="ghost"/><mention/></registry>')),
 }
 
 
@@ -486,7 +510,7 @@ class TestFlushBatches:
         assert '"ok": false' in views["batch"][1]
 
     def test_one_flush_per_batch(self, monkeypatch):
-        """A document of ``k`` Σ-relevant siblings, none nested, is fed
+        """A document of ``k`` retained siblings, none nested, is fed
         in ``ceil(k / FLUSH_BATCH)`` flushes, the last one before
         ``finish``."""
         from repro.codegen.runtime import RunState
@@ -499,12 +523,42 @@ class TestFlushBatches:
             flush(self)
 
         monkeypatch.setattr(RunState, "flush_region", counted)
-        dtd = library_schema()
+        dtd = registry_schema()
         n = 2 * FLUSH_BATCH + 7 + FLUSH_BATCH + 3
         CodegenValidator(as_handle(dtd)).validate_text(
-            _library_text(2 * FLUSH_BATCH + 7, FLUSH_BATCH + 3))
+            _registry_text(2 * FLUSH_BATCH + 7, FLUSH_BATCH + 3))
         assert calls == [FLUSH_BATCH] * (n // FLUSH_BATCH) \
             + [n % FLUSH_BATCH]
+
+    def test_kernel_schema_retains_nothing(self, monkeypatch):
+        """Every constraint of the library schema is a kernel: a
+        document of it constructs no ``StreamVertex`` and never calls
+        ``flush_region``, and its report still matches batch."""
+        import repro.codegen.runtime as runtime
+
+        made, flushed = [], []
+
+        class Counted(runtime.StreamVertex):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made.append(args[0])
+                super().__init__(*args)
+
+        def flush(self):
+            flushed.append(len(self.region))
+
+        monkeypatch.setattr(runtime, "StreamVertex", Counted)
+        monkeypatch.setattr(runtime.RunState, "flush_region", flush)
+        dtd = library_schema()
+        text = _library_text(2 * FLUSH_BATCH + 7, FLUSH_BATCH + 3)
+        cg = CodegenValidator(as_handle(dtd))
+        for run in (lambda: cg.validate_text(text),
+                    lambda: cg.validate_bytes(text.encode())):
+            assert run().to_json() == validate(
+                parse_document(text, dtd.structure), dtd).to_json()
+        assert made == [] and flushed == []
+        assert cg.compiled.plan.relevant == frozenset()
 
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
     def test_obs_counters_match_batch(self, case):
@@ -516,8 +570,8 @@ class TestFlushBatches:
         tree = parse_document(text, dtd.structure)
         batch = validate(tree, dtd, obs=batch_obs)
         assert cg.to_json() == batch.to_json()
-        for name in ("evaluator_index_hits", "evaluator_index_misses",
-                     "evaluator_violations"):
+        for name in ("evaluator_vertices_visited", "evaluator_index_hits",
+                     "evaluator_index_misses", "evaluator_violations"):
             got = cg_obs.metrics.values(name)
             assert got and got == batch_obs.metrics.values(name), name
         dispatched = cg_obs.metrics.values("codegen_dispatch_vertices")

@@ -6,7 +6,10 @@ rejects them:
 - a numeric character reference outside XML 1.0's ``Char`` production
   (``&#x110000;`` and a 20-digit decimal raised ``ValueError`` /
   ``OverflowError``; ``&#0;`` and ``&#xD800;`` validated clean);
-- bytes that are not UTF-8 (a ``UnicodeDecodeError`` traceback);
+- bytes that are not UTF-8 (a ``UnicodeDecodeError`` traceback), and
+  a ``str`` document holding a lone surrogate, which has no UTF-8
+  bytes (a ``UnicodeEncodeError`` traceback that killed ``serve
+  --stdio`` and lost every verdict of a corpus or sharded run);
 - a raw ``<`` inside an attribute value;
 - ``--`` inside a comment, or a comment ending in ``-``.
 
@@ -16,6 +19,8 @@ exit 2 with the same message on every engine, HTTP 422
 for that document while every other verdict stands.
 """
 
+import asyncio
+import io
 import json
 import xml.parsers.expat
 
@@ -29,11 +34,11 @@ from repro.codegen import CodegenValidator
 from repro.errors import XMLSyntaxError
 from repro.server import ValidationServer
 from repro.server.registry import SchemaRegistry
-from repro.shard import SubprocessNode
+from repro.shard import LocalNode, SubprocessNode
 from repro.workloads.book import (
     BOOK_CONSTRAINTS_TEXT, BOOK_DTD_TEXT, book_document, book_dtdc,
 )
-from repro.xmlio import parse_dtdc, serialize
+from repro.xmlio import encode_document, parse_dtdc, serialize
 
 SCHEMA_TEXT = BOOK_DTD_TEXT + "\n%% constraints\n" + BOOK_CONSTRAINTS_TEXT
 GOOD = serialize(book_document())
@@ -232,3 +237,79 @@ def test_cli_check_corpus_reports_every_verdict(files, engine, capsys):
     for name in sorted(BAD):
         assert by_doc[paths[name]]["error"] == BAD[name][1], name
     assert by_doc[paths["good-1"]]["ok"] and by_doc[paths["good-2"]]["ok"]
+
+
+# -- a lone surrogate in a str document ---------------------------------------
+
+#: a JSON string may escape a lone surrogate; Python text can hold one
+SURROGATE_TEXT = GOOD.replace("Suciu", "Suc\ud800iu")
+SURROGATE_ERROR = ("character U+D800 is not an XML character at line "
+                   f"{GOOD.count(chr(10), 0, GOOD.index('Suciu')) + 1}")
+
+
+def test_encode_document_locates_the_surrogate():
+    assert encode_document(GOOD) == GOOD.encode("utf-8")
+    with pytest.raises(XMLSyntaxError) as exc:
+        encode_document(SURROGATE_TEXT)
+    assert str(exc.value) == SURROGATE_ERROR
+
+
+def test_serve_stdio_answers_422_and_keeps_serving(monkeypatch, capsys):
+    registry = SchemaRegistry()
+    registry.load("book", SCHEMA_TEXT, root="book")
+    lines = "".join(json.dumps(req) + "\n" for req in [
+        {"op": "validate", "schema": "book", "document": SURROGATE_TEXT,
+         "id": 1},
+        {"op": "ping", "id": 2}])
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    asyncio.run(ValidationServer(registry).serve_stdio())
+    out = [json.loads(line)
+           for line in capsys.readouterr().out.splitlines()]
+    assert [r["id"] for r in out] == [1, 2]
+    assert (out[0]["code"], out[0]["error"]) \
+        == ("invalid-document", SURROGATE_ERROR)
+    assert out[1]["ok"]
+    _payload, status = ValidationServer(registry).handle_request(
+        {"op": "validate", "schema": "book", "document": SURROGATE_TEXT})
+    assert status == 422
+
+
+def _check_surrogate_verdicts(report):
+    bad, good = report.verdicts
+    assert (bad.doc_id, bad.error, bad.key) == ("bad", SURROGATE_ERROR, "")
+    assert good.doc_id == "good" and good.error is None and good.ok
+
+
+def test_corpus_runs_give_the_surrogate_text_an_error_verdict():
+    docs = [("bad", SURROGATE_TEXT), ("good", GOOD)]
+    serial = CorpusValidator(book_dtdc()).validate(docs)
+    _check_surrogate_verdicts(serial)
+    for validator in (
+            CorpusValidator(book_dtdc(), engine="codegen"),
+            CorpusValidator(book_dtdc(), engine="codegen",
+                            cache=ResultCache())):
+        assert validator.validate(docs).verdicts_json() \
+            == serial.verdicts_json()
+
+
+def test_sharded_run_gives_the_surrogate_text_an_error_verdict():
+    docs = [("bad", SURROGATE_TEXT), ("good", GOOD)]
+    serial = CorpusValidator(book_dtdc()).validate(docs)
+    with ShardedCorpusValidator(book_dtdc(), shards=2,
+                                node_factory=LocalNode) as validator:
+        report = validator.validate(docs)
+    _check_surrogate_verdicts(report)
+    assert report.verdicts_json() == serial.verdicts_json()
+
+
+def test_stream_chunk_text_branch_gives_an_error_verdict():
+    from repro.corpus.cache import schema_fingerprint
+    from repro.corpus.worker import init_worker, stream_chunk
+    from repro.server.registry import as_handle
+
+    dtd = book_dtdc()
+    init_worker(dtd, False, as_handle(dtd).plan, schema_fingerprint(dtd))
+    bad, good = stream_chunk([("bad", "text", SURROGATE_TEXT),
+                              ("good", "text", GOOD)])["verdicts"]
+    assert (bad["error"], bad["report"]) == (SURROGATE_ERROR, None)
+    assert good["error"] is None and good["report"]["ok"]

@@ -62,14 +62,36 @@ class TestStreamPlan:
         assert isinstance(plan, StreamPlan)
         assert plan.root == "library"
         assert set(plan.labels) == {"library", "entry", "ref"}
-        # both constraints touch entry; only the inclusion touches ref
-        assert len(plan.labels["entry"].evaluators) == 2
-        assert len(plan.labels["ref"].evaluators) == 1
-        assert plan.labels["library"].evaluators == ()
+        # both constraints read attributes only: each is a kernel, fed
+        # at start tags; entry feeds the key and the inclusion's
+        # targets, ref its sources
+        key, inclusion = plan.kernels
+        assert (key.position, key.kind, key.element, key.fields) \
+            == (0, "key", "entry", (("isbn", False),))
+        assert (inclusion.position, inclusion.kind, inclusion.element,
+                inclusion.fields, inclusion.target,
+                inclusion.target_fields) \
+            == (1, "values", "ref", (("to", False),), "entry",
+                (("isbn", False),))
+        assert plan.feeds == {"entry": ((0, "source"), (1, "target")),
+                              "ref": ((1, "source"),)}
+        assert all(lp.evaluators == () for lp in plan.labels.values())
 
     def test_relevant_labels(self, lib):
-        plan = compile_plan(lib)
-        assert plan.relevant == {"entry", "ref"}
+        # labels only kernels read are not retained
+        assert compile_plan(lib).relevant == frozenset()
+        # a §3.4 sub-element key stays on its evaluator: its label is
+        # retained, with the attributes evaluators read
+        with_note = parse_dtdc(LIB_SCHEMA.replace(
+            "<!ELEMENT entry (#PCDATA)?>",
+            "<!ELEMENT entry (note)>\n<!ELEMENT note (#PCDATA)>")
+            + "entry.<note> -> entry\n")
+        plan = compile_plan(with_note)
+        assert [spec is None for spec in plan.kernels] == [False, False, True]
+        assert plan.relevant == {"entry"}
+        assert plan.labels["entry"].evaluators == (2,)
+        assert plan.labels["entry"].elem_fields == {"note"}
+        assert plan.labels["entry"].watched == frozenset()
 
     def test_plan_survives_pickling(self, lib):
         plan = compile_plan(lib)
