@@ -30,6 +30,7 @@ Run styles::
 import asyncio
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -195,28 +196,46 @@ def test_e21_server_beats_subprocess(tmp_path):
         f"{per_doc_subprocess * 1e3:.0f} ms per doc)")
 
 
-def _best_rate(texts, runs: int = 3, telemetry: bool = False) -> float:
-    """Best-of-``runs`` throughput (docs/sec) for one server config.
-    A throwaway warmup run comes first so neither config pays one-time
-    import/compile costs inside its timed window."""
-    serve_run(texts[: max(8, len(texts) // 4)], telemetry=telemetry)
-    best = min(serve_run(texts, telemetry=telemetry)[0]
-               for _ in range(runs))
-    return len(texts) / max(best, 1e-9)
+#: blocks of the telemetry gate: the median of this many per-block
+#: ratios holds still on a 2-vCPU host whose speed shifts between runs
+TELEMETRY_BLOCKS = 15
+
+
+def _telemetry_ratios(texts, blocks: int) -> "list[float]":
+    """Traced/untraced throughput ratio per block.  Each config first
+    serves a throwaway warmup (one-time import/compile costs stay out
+    of the timed runs).  Then every block times four runs back to back,
+    untraced-traced-traced-untraced or its mirror (alternating between
+    blocks), and compares each config's faster run: host speed drift
+    within a block lands on both configs alike, and a run slowed by a
+    stray pause is dropped, so the ratio measures telemetry, not the
+    host."""
+    warmup = texts[: max(8, len(texts) // 4)]
+    for telemetry in (False, True):
+        serve_run(warmup, telemetry=telemetry)
+    ratios = []
+    for block in range(blocks):
+        first = block % 2 == 1
+        best: dict = {}
+        for telemetry in (first, not first, not first, first):
+            seconds = serve_run(texts, telemetry=telemetry)[0]
+            best[telemetry] = min(best.get(telemetry, seconds), seconds)
+        ratios.append(best[False] / max(best[True], 1e-9))
+    return ratios
 
 
 def test_e21_telemetry_overhead():
     """Acceptance: full request telemetry (tracer + 100% sampling +
-    event log) keeps E21 throughput at >= 0.9x the warm baseline."""
-    texts = _corpus_texts(n_docs=64)
-    base_rate = _best_rate(texts, runs=3, telemetry=False)
-    telem_rate = _best_rate(texts, runs=3, telemetry=True)
-    ratio = telem_rate / max(base_rate, 1e-9)
-    print(f"\nE21 telemetry: {base_rate:,.0f} docs/s baseline vs "
-          f"{telem_rate:,.0f} docs/s traced ({ratio:.2f}x)")
+    event log) keeps E21 throughput at >= 0.9x the warm baseline, as
+    the median of interleaved per-block ratios."""
+    texts = _corpus_texts(n_docs=96)
+    ratios = _telemetry_ratios(texts, blocks=TELEMETRY_BLOCKS)
+    ratio = statistics.median(ratios)
+    print(f"\nE21 telemetry: traced/untraced per block "
+          f"{', '.join(f'{r:.2f}' for r in ratios)}; median {ratio:.2f}x")
     assert ratio >= 0.9, (
-        f"telemetry costs too much: {telem_rate:,.0f} docs/s is only "
-        f"{ratio:.2f}x the {base_rate:,.0f} docs/s baseline")
+        f"telemetry costs too much: traced throughput is only "
+        f"{ratio:.2f}x the untraced baseline (median of {ratios})")
 
 
 # -- standalone runner (CI smoke + timing report) --------------------------
@@ -252,17 +271,17 @@ def _report(n_docs: int, smoke: bool) -> int:
     return 0 if ok else 1
 
 
-def _telemetry_report(n_docs: int, runs: int) -> int:
+def _telemetry_report(n_docs: int, blocks: int) -> int:
     texts = _corpus_texts(n_docs=n_docs)
-    base_rate = _best_rate(texts, runs=runs, telemetry=False)
-    telem_rate = _best_rate(texts, runs=runs, telemetry=True)
-    ratio = telem_rate / max(base_rate, 1e-9)
-    print(f"E21 telemetry: {n_docs} docs, best of {runs}")
-    print(f"  baseline  {base_rate:10,.0f} docs/s")
-    print(f"  traced    {telem_rate:10,.0f} docs/s   ({ratio:.2f}x)")
+    ratios = _telemetry_ratios(texts, blocks=blocks)
+    ratio = statistics.median(ratios)
+    print(f"E21 telemetry: {n_docs} docs, {blocks} interleaved blocks")
+    for block, r in enumerate(ratios):
+        print(f"  block {block}   traced/untraced {r:.2f}x")
+    print(f"  median    {ratio:.2f}x")
     ok = ratio >= 0.9
     print("E21 telemetry OK" if ok else
-          f"E21 telemetry FAILED (ratio {ratio:.2f} < 0.9)")
+          f"E21 telemetry FAILED (median ratio {ratio:.2f} < 0.9)")
     return 0 if ok else 1
 
 
@@ -278,11 +297,12 @@ if __name__ == "__main__":
     cli.add_argument("--telemetry", action="store_true",
                      help="compare full request telemetry (tracer, "
                      "sample=1.0, event log) against the untraced "
-                     "baseline; fails if traced throughput < 0.9x")
+                     "baseline in interleaved blocks; fails if the "
+                     "median traced/untraced ratio < 0.9")
     cli.add_argument("--docs", type=int, default=160,
                      help="corpus size (default: 160)")
     ns = cli.parse_args()
     if ns.telemetry:
         raise SystemExit(_telemetry_report(
-            ns.docs if not ns.smoke else 48, runs=1 if ns.smoke else 3))
+            ns.docs if not ns.smoke else 96, blocks=TELEMETRY_BLOCKS))
     raise SystemExit(_report(ns.docs if not ns.smoke else 32, ns.smoke))

@@ -28,9 +28,11 @@ streaming interpreter the engine replaced.  A dense leg runs
 pretty-printed files of 60 and 2000 vertices, where every element is
 Σ-relevant, through ``Validator.check(path, engine="codegen")`` (the
 mmap path) and checks byte-identity with batch, on both sides of the
-engine's constraint split: ``random_corpus`` library files, whose Σ the
-constraint kernels check, and ``federated_corpus`` registry files,
-whose ``L_id`` Σ stays on the evaluators; it sets no speed bar.
+engine's constraint split: ``random_corpus`` library files, whose
+``L``/``L_u`` Σ the constraint kernels check, ``federated_corpus``
+registry files, whose ``L_id`` Σ the kernels check too, and club
+files, whose Σ (a §3.4 sub-element key and an ID inverse) stays on
+the evaluators; it sets no speed bar.
 
 Run styles::
 
@@ -41,6 +43,7 @@ Run styles::
 
 import gc
 import os
+import random
 import sys
 import tempfile
 import time
@@ -55,6 +58,7 @@ else:  # `python benchmarks/bench_stream.py` — repo root not on sys.path
         os.path.abspath(__file__))))
     from benchmarks.conftest import print_series
 from repro.codegen import CodegenValidator
+from repro.datamodel import DataTree
 from repro.dtd.validate import validate
 from repro.server.registry import as_handle
 from repro.workloads.generators import federated_corpus, random_corpus
@@ -205,13 +209,61 @@ def test_e19_throughput_at_least_batch(form, tmp_path):
 # -- E23: the scanner ------------------------------------------------------
 
 
+#: a Σ that stays on the evaluators: a §3.4 sub-element key and an ID
+#: inverse (parsed unchecked: the ID constraints an inverse presupposes
+#: would be kernels, so they are left out)
+CLUB_SCHEMA = """
+<!ELEMENT club (member*, team*)>
+<!ELEMENT member (name)>
+<!ATTLIST member mid ID #REQUIRED teams IDREFS #REQUIRED>
+<!ELEMENT name (#PCDATA)>
+<!ELEMENT team EMPTY>
+<!ATTLIST team tid ID #REQUIRED members IDREFS #REQUIRED>
+%% constraints
+member.<name> -> member
+member.teams inv team.members
+"""
+
+
+def _club_corpus(n_docs: int, doc_vertices: int, seed: int):
+    """``(dtd, docs)`` under :data:`CLUB_SCHEMA`: members (each with a
+    ``name`` child) and the teams they belong to, listed on both sides;
+    half the documents repeat a name and drop one back-reference."""
+    dtd = parse_dtdc(CLUB_SCHEMA, check=False)
+    rng = random.Random(seed)
+    docs = []
+    for d in range(n_docs):
+        n_teams = max(2, doc_vertices // 10)
+        n_members = max(2, (doc_vertices - 1 - n_teams) // 2)
+        teams = {m: sorted(rng.sample(range(n_teams), rng.randint(0, 2)))
+                 for m in range(n_members)}
+        corrupt = d % 2 == 1
+        tree = DataTree("club")
+        for m in range(n_members):
+            member = tree.create_under(tree.root, "member")
+            member.set_attribute("mid", f"m{m}")
+            member.set_attribute("teams", [f"t{t}" for t in teams[m]])
+            name = tree.create_under(member, "name")
+            name.append(f"n{m - 1 if corrupt and m == n_members - 1 else m}")
+        dropped = corrupt
+        for t in range(n_teams):
+            names = [f"m{m}" for m in range(n_members) if t in teams[m]]
+            if dropped and names:
+                names, dropped = names[1:], False
+            team = tree.create_under(tree.root, "team")
+            team.set_attribute("tid", f"t{t}")
+            team.set_attribute("members", names)
+        docs.append(tree)
+    return dtd, docs
+
+
 def _dense_corpora():
     """(name, dtd, docs) of 60 and 2000 vertices per document, on both
     sides of codegen's constraint split: ``random_corpus`` library
-    documents (half of them with one violation), whose Σ the constraint
-    kernels check, and ``federated_corpus`` registry documents (with
-    cross-document and ghost references), whose ``L_id`` Σ stays on the
-    evaluators."""
+    documents (half of them with one violation) and ``federated_corpus``
+    registry documents (with cross-document and ghost references),
+    whose ``L``/``L_u`` and ``L_id`` Σ the constraint kernels check, and
+    :func:`_club_corpus` documents, whose Σ stays on the evaluators."""
     for n_vertices, n_docs in ((60, 40), (2000, 4)):
         yield ("dense", *random_corpus(
             n_docs=n_docs, doc_vertices=n_vertices, invalid_fraction=0.5,
@@ -220,6 +272,7 @@ def _dense_corpora():
             n_docs=n_docs, doc_vertices=n_vertices, cross_dup_fraction=0.3,
             cross_ref_fraction=0.5, dangling_fraction=0.5,
             seed=n_vertices))
+        yield ("club", *_club_corpus(n_docs, n_vertices, seed=n_vertices))
 
 
 def _dense_mismatches(directory: str) -> tuple[int, int]:
@@ -245,10 +298,20 @@ def _dense_mismatches(directory: str) -> tuple[int, int]:
 def test_e23_codegen_dense_files_match_batch(tmp_path):
     """Acceptance: on constraint-dense files, more elements than one
     constraint-feed batch included, the mmap path is byte-identical to
-    batch — with Σ on the constraint kernels (library) and on the
-    evaluators (registry)."""
+    batch — with Σ on the constraint kernels (library, registry) and on
+    the evaluators (club)."""
     files, mismatches = _dense_mismatches(str(tmp_path))
     assert files and mismatches == 0
+
+
+def test_e23_club_files_stay_on_evaluators():
+    """The club leg keeps the evaluator path under the dense check: its
+    Σ has no kernel, and its files carry violations of both
+    constraints."""
+    dtd, docs = _club_corpus(2, 60, seed=60)
+    assert not any(as_handle(dtd).plan.kernels)
+    codes = {v.code for v in _batch(dtd, serialize(docs[1])).constraint}
+    assert codes == {"key", "inverse"}
 
 
 def _tokenize(text: str) -> None:
@@ -391,8 +454,8 @@ def _report_in(directory: str, n_docs: int, smoke: bool) -> int:
     print(f"E23 codegen: 8k-item feed, tokenizer pass "
           f"{tokenize * 1e3:.1f} ms vs codegen bytes "
           f"{feed_codegen * 1e3:.1f} ms ({speedup:.1f}x)")
-    print(f"E23 dense: {dense_files} library (kernel) and registry "
-          f"(evaluator) files of 60 and 2000 vertices via mmap, "
+    print(f"E23 dense: {dense_files} library and registry (kernel) and "
+          f"club (evaluator) files of 60 and 2000 vertices via mmap, "
           f"{dense_mismatches} codegen/batch mismatch(es)")
 
     ok = (not any(mismatches.values()) and feed_equal

@@ -99,8 +99,8 @@ class CodegenValidator:
 
             self.compiled = as_handle(schema).codegen
         #: the :class:`RunState` of the most recent document, kept until
-        #: the next one: its finished evaluators are what a shard node
-        #: exports as the document's ``L_id`` merge aggregates
+        #: the next one: its finished kernels and evaluators are what a
+        #: shard node exports as the document's ``L_id`` merge aggregates
         self.last_run: "RunState | None" = None
 
     def validate(self, source):

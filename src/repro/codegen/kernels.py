@@ -1,54 +1,70 @@
-"""Constraint kernels: attribute-only keys and foreign keys, checked
-from start-tag attribute maps.
+"""Constraint kernels: attribute-only keys, foreign keys and ``L_id``
+constraints, checked from start-tag attribute maps.
 
 Checking an ``L``/``L_u`` key or foreign key (Fan & Siméon §2) only
 compares attribute values: no two ``tau`` vertices may share an
-``X``-row, and every source row must occur among the target rows.  The
-plan (:class:`~repro.stream.plan.KernelSpec`) gives each such
-constraint whose fields are all attributes a *kernel* here; the
-scanner calls its feeds at each start tag of a label it reads, with
-the vid and the tag's unescaped attribute map, so the element is never
-retained — no :class:`~repro.stream.validator.StreamVertex`, no value
-frozensets, no index entry.
+``X``-row, and every source row must occur among the target rows.  So
+does checking the ``L_id`` constraints ``tau.id ->id tau`` (an ID value
+has one owner among all ID-bearing elements) and ``tau.l ⊆ tau'.id`` /
+``⊆_S`` (an IDREF value is the ID of some ``tau'`` element).  The plan
+(:class:`~repro.stream.plan.KernelSpec`) gives each such constraint
+whose fields are all attributes a *kernel* here; the scanner calls its
+feeds at each start tag of a label it reads, with the vid and the tag's
+unescaped attribute map, so the element is never retained — no
+:class:`~repro.stream.validator.StreamVertex`, no value frozensets, no
+index entry.
 
 - a **key kernel** probes a dict of first owners with each complete
   row; a second owner opens the row's duplicate group;
 - a **foreign-key kernel** appends each target's row (``L``) or value
-  (``L_u``) and each source's row or value, and resolves the sources
-  by one set difference when the report is assembled.
+  (``L_u``, and the ID of an ``L_id`` reference's target) and each
+  source's row or value, and resolves the sources by one set
+  difference when the report is assembled;
+- an **ID kernel** reads the document's :class:`IDOwners` table, which
+  every ID-bearing start tag updates once, however many
+  ``IDConstraint`` kernels Σ holds: its owners are every element whose
+  label declares an ID attribute, not only ``tau``'s.
 
 Each kernel reproduces its evaluator's report exactly — codes,
 messages, vertex lists and order:
 
 - values are the batch parser's: an attribute declared set-valued on
   its owner splits on whitespace into a set, any other is one value,
-  and a missing attribute is the empty set;
+  and a missing attribute is the empty set (an ID attribute is never
+  set-valued: Definition 2.2, enforced when it is declared);
 - a key or ``L`` foreign-key row is complete only when every field
   holds exactly one value (:func:`~repro.constraints.evaluators._row_reader`);
   the target values of an ``L_u`` foreign key are every value of the
   target attribute (:class:`~repro.constraints.evaluators.FieldIndex`);
 - start tags arrive in vid order, so duplicate groups form in order
-  of their second occurrence with document-ordered vids, and sources
+  of their second occurrence with document-ordered vids, sources
   resolve in document order — dangling rows before incomplete ones
-  for ``L``, sorted missing values for ``L_u`` — with no sort.
+  for ``L``, sorted missing values for ``L_u`` and ``L_id`` — and ID
+  clashes come out in vid order of the clashing ``tau`` member, each
+  with its other owners in vid order, with no sort.
 
 Kernels share the evaluators' emit and counter protocol
 (:class:`~repro.constraints.evaluators.ConstraintEvaluator`): they sit
 at their Σ positions in the run state's ``evaluators`` list, emit
-between the evaluator-path constraints, return None from
-``corpus_aggregate`` (they are shard-local), and read their counters
-off their state once the document is done
+between the evaluator-path constraints, and read their counters off
+their state once the document is done
 (:meth:`~repro.constraints.evaluators.ConstraintEvaluator.settled_counts`),
-so feeding counts nothing.
+so feeding counts nothing.  They share the evaluators' shard locality
+too: the ``L``/``L_u`` kernels are ``"local"`` and return None from
+``corpus_aggregate``; the ``L_id`` kernels are ``"merge"`` and return
+exactly the aggregate their evaluator returns, which a shard node
+exports for the coordinator's fold
+(:mod:`repro.shard.aggregates`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 
 from repro.constraints.evaluators import ConstraintEvaluator
 
-__all__ = ["kernel_for"]
+__all__ = ["IDOwners", "kernel_for"]
 
 
 def _row_getter(fields):
@@ -205,6 +221,8 @@ class _ValueForeignKeyKernel(_Kernel):
         self.target_field = target_field
         self.set_valued = spec.set_valued
         self.code = "set-foreign-key" if spec.set_valued else "foreign-key"
+        #: what the message says of a source's missing values
+        self.tail = f" not among {self.target}.{target_field} values"
         targets = self.targets = []
         sources = self.sources = []
         self._have = None
@@ -277,20 +295,138 @@ class _ValueForeignKeyKernel(_Kernel):
     def _emit(self, report):
         element, name, code = self.element, self.name, self.code
         lacks = f"{element!r} element lacks a single {self.field} value"
-        among = f" not among {self.target}.{self.target_field} values"
+        tail = self.tail
         for vid, missing in self._resolve():
             if missing is None:
                 report.add(code, lacks, name, (vid,))
             else:
-                report.add(code, f"value(s) {missing!r}{among}", name,
+                report.add(code, f"value(s) {missing!r}{tail}", name,
                            (vid,))
 
 
+class _IDRefKernel(_ValueForeignKeyKernel):
+    """``tau.l ⊆ tau'.id`` and ``tau.l ⊆_S tau'.id``: a value foreign
+    key into the IDs of ``tau'`` elements (the target field is
+    ``tau'``'s ID attribute), whose references span documents in a
+    sharded run."""
+
+    locality = "merge"
+
+    def __init__(self, constraint, spec, name):
+        super().__init__(constraint, spec, name)
+        self.tail = f" are not IDs of {self.target!r} elements"
+
+    def corpus_aggregate(self):
+        """The evaluator's ``"ref"`` aggregate: every referenced value
+        no ``tau'`` element of the document holds, and those IDs."""
+        self._resolve()
+        have = self._have
+        missing = set()
+        for _vid, raw in self.sources:
+            missing.update(self._values(raw))
+        return {"kind": "ref", "missing": sorted(missing - have),
+                "targets": sorted(have)}
+
+
+class IDOwners:
+    """The document's ID owners (``AttributeIndex.id_owners``), built
+    from start tags: every element whose label declares an ID attribute
+    owns that attribute's value.
+
+    ``first`` maps each value to its first owner's vid, ``shared`` each
+    value owned twice or more to all its owners in vid order, and
+    ``members`` each ID-bearing label to its ``(vid, value)`` elements
+    in vid order, ``value`` None where the attribute is missing.
+    ``feeds`` maps each ID-bearing label to the function its start tags
+    call with ``(vid, amap)``."""
+
+    __slots__ = ("first", "shared", "members", "feeds")
+
+    def __init__(self, id_attributes: dict[str, str]):
+        self.first: dict[str, int] = {}
+        self.shared: dict[str, list[int]] = {}
+        self.members: dict[str, list] = {}
+        self.feeds = {label: self._feed(label, attr)
+                      for label, attr in id_attributes.items()}
+
+    def _feed(self, label: str, attr: str):
+        record = self.members.setdefault(label, []).append
+        claim = self.first.setdefault
+        shared = self.shared
+
+        def owner(vid, amap):
+            value = amap.get(attr)
+            record((vid, value))
+            if value is None:
+                return
+            first = claim(value, vid)
+            if first != vid:
+                group = shared.get(value)
+                if group is None:
+                    shared[value] = [first, vid]
+                else:
+                    group.append(vid)
+
+        return owner
+
+
+class _IDKernel(_Kernel):
+    """``tau.id ->id tau``: each ``tau`` member needs one ID value, and
+    that value one owner among all ID-bearing elements.  Read off the
+    document's :class:`IDOwners` table; the kernel has no feed of its
+    own."""
+
+    locality = "merge"
+
+    def __init__(self, constraint, spec, name, owners: IDOwners):
+        super().__init__(constraint, spec, name)
+        self.owners = owners
+
+    def settled_counts(self):
+        shared = self.owners.shared
+        members = self.owners.members[self.element]
+        single = [value for _vid, value in members if value is not None]
+        hits = sum(1 for value in single if value in shared)
+        return len(members), hits, len(single) - hits
+
+    def _emit(self, report):
+        element, name = self.element, self.name
+        members = self.owners.members[element]
+        for vid, value in members:
+            if value is None:
+                report.add("id", f"{element!r} element lacks a single ID "
+                           "value", name, (vid,))
+        shared = self.owners.shared
+        for vid, value in members:
+            group = shared.get(value)
+            if group is not None:
+                report.add(
+                    "id-clash",
+                    f"ID value {value!r} is shared by multiple elements",
+                    name, (vid, *[o for o in group if o != vid]))
+
+    def corpus_aggregate(self):
+        """The evaluator's ``"id"`` aggregate: per ID value, sorted, its
+        owners and how many of them are ``tau`` members."""
+        shared = self.owners.shared
+        mine = Counter(value for _vid, value
+                       in self.owners.members[self.element])
+        return {"kind": "id",
+                "owners": [[value,
+                            len(shared[value]) if value in shared else 1,
+                            mine[value]]
+                           for value in sorted(self.owners.first)]}
+
+
 _KERNELS = {"key": _KeyKernel, "rows": _RowForeignKeyKernel,
-            "values": _ValueForeignKeyKernel}
+            "values": _ValueForeignKeyKernel, "refs": _IDRefKernel}
 
 
-def kernel_for(spec, constraint, name: str) -> ConstraintEvaluator:
+def kernel_for(spec, constraint, name: str,
+               owners: "IDOwners | None") -> ConstraintEvaluator:
     """A fresh kernel for one document, checking ``constraint`` (at
-    Σ position ``spec.position``, reported as ``name``)."""
+    Σ position ``spec.position``, reported as ``name``); an ``"id"``
+    kernel reads the document's ``owners`` table."""
+    if spec.kind == "id":
+        return _IDKernel(constraint, spec, name, owners)
     return _KERNELS[spec.kind](constraint, spec, name)

@@ -14,8 +14,9 @@ evaluators.  Their tables are specialised to the schema:
   and a row fills on first use, so no content model is determinised
   beyond what documents reach;
 - **kernel feeds** — per label, the kernel feeds its start tags run
-  (:attr:`~repro.stream.plan.StreamPlan.feeds`), called with the vid
-  and the tag's unescaped attribute map;
+  (:attr:`~repro.stream.plan.StreamPlan.feeds`, plus the ID owner
+  table's at each ID-bearing label when an ``IDConstraint`` is a
+  kernel), called with the vid and the tag's unescaped attribute map;
 - **watched attributes** — only the attribute names the evaluators read
   (:attr:`~repro.stream.plan.LabelPlan.watched`) are materialized, as
   value sets, on retained vertices;
@@ -58,8 +59,8 @@ from __future__ import annotations
 import re
 from operator import attrgetter, itemgetter
 
-from repro.codegen.kernels import kernel_for
-from repro.constraints.evaluators import IDConstraintEvaluator, evaluator_for
+from repro.codegen.kernels import IDOwners, kernel_for
+from repro.constraints.evaluators import evaluator_for
 from repro.dtd.validate import ValidationReport
 from repro.errors import XMLSyntaxError
 from repro.obs import NULL_OBS
@@ -626,12 +627,15 @@ class RunState:
     Σ is split once per schema (:attr:`~repro.stream.plan.StreamPlan.kernels`):
 
     - **kernels** (:mod:`repro.codegen.kernels`) check the
-      attribute-only ``L``/``L_u`` keys and foreign keys.  At each start
-      tag the scanner calls the feeds :attr:`feeds` lists for its label
-      with the vid and the attribute map; nothing of the element is
-      retained.  Foreign keys resolve here, in :meth:`finish`.
+      attribute-only ``L``/``L_u`` keys and foreign keys, ID
+      constraints and ID references.  At each start tag the scanner
+      calls the feeds :attr:`feeds` lists for its label with the vid
+      and the attribute map; nothing of the element is retained.  One
+      :class:`~repro.codegen.kernels.IDOwners` table per document,
+      fed at every ID-bearing start tag, serves every ID kernel.
+      Foreign keys and ID clashes resolve here, in :meth:`finish`.
     - **evaluators** check the rest — §3.4 sub-element fields,
-      inverses, the ``L_id`` merge class and static violations —
+      inverses and static violations —
       through the :class:`~repro.constraints.evaluators.ConstraintEvaluator`
       machinery.  The scanner appends closed vertices of the labels
       they read (:attr:`~repro.stream.plan.StreamPlan.relevant`) to
@@ -653,8 +657,9 @@ class RunState:
       state held at the first dead transition reproduces the
       ``prefix_length`` / ``expected_after`` diagnostics without ever
       buffering the child word;
-    - **kernels** see start tags in vid order, so their groups and
-      sources are already in the order a batch ``full()`` emits them;
+    - **kernels** see start tags in vid order, so their groups,
+      sources and ID owners are already in the order a batch
+      ``full()`` emits them;
     - **evaluators** see closed elements through the same ``add()``
       path as an incremental insertion, in strict document (pre-)order:
       the region drains only while no retained element is open, and
@@ -674,12 +679,12 @@ class RunState:
 
     Peak memory is O(open-element depth + kernel rows + retained
     vertices + evaluator residual state): an element is retained only
-    when an evaluator or the declared-ID bookkeeping reads its label.
+    when an evaluator reads its label.
     """
 
     __slots__ = ("plan", "obs", "structural", "region", "index",
-                 "evaluators", "dispatch", "id_listeners", "feeds",
-                 "next_vid", "n_skipped")
+                 "evaluators", "dispatch", "feeds", "next_vid",
+                 "n_skipped")
 
     def __init__(self, plan, obs=None):
         self.plan = plan
@@ -687,24 +692,25 @@ class RunState:
         #: ((vid, rank), code, message, vids): rank -1 root check, 0
         #: element/content-model, 1 attribute checks
         self.structural: list[tuple] = []
-        self.index = StreamIndex(plan.id_map)
+        self.index = StreamIndex()
+        owners = IDOwners(plan.id_owners) if plan.id_owners else None
         #: one kernel or evaluator per Σ position
         self.evaluators = evaluators = [
             evaluator_for(c, self.index, plan.id_map) if spec is None
-            else kernel_for(spec, c, name)
+            else kernel_for(spec, c, name, owners)
             for c, spec, name in zip(plan.constraints, plan.kernels,
                                      plan.names)]
-        #: label -> the kernel feeds a start tag of that label runs
-        self.feeds = {
+        #: label -> the kernel feeds a start tag of that label runs (the
+        #: owner table's first)
+        self.feeds = feeds = {
             label: tuple(evaluators[i].feeds[role] for i, role in sites)
             for label, sites in plan.feeds.items()}
+        if owners is not None:
+            for label, feed in owners.feeds.items():
+                feeds[label] = (feed, *feeds.get(label, ()))
         self.dispatch = {
             label: tuple(evaluators[i] for i in lp.evaluators)
             for label, lp in plan.labels.items() if lp.evaluators}
-        self.id_listeners = tuple(
-            ev for i, ev in enumerate(evaluators)
-            if isinstance(ev, IDConstraintEvaluator)
-            and i not in plan.deferred)
         self.region: list = []
         self.next_vid = 0
         #: elements admitted through the Σ-irrelevant run fast path
@@ -720,16 +726,12 @@ class RunState:
             region.sort(key=_VID)
         index_vertex = self.index.index_vertex
         dispatch = self.dispatch
-        id_listeners = self.id_listeners
         for v in region:
-            gained = index_vertex(v)
+            index_vertex(v)
             interested = dispatch.get(v.label)
             if interested is not None:
                 for ev in interested:
                     ev.add(v)
-            if gained and id_listeners:
-                for ev in id_listeners:
-                    ev.id_values_changed(gained)
         region.clear()
 
     def finish(self) -> ValidationReport:

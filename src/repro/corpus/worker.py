@@ -13,7 +13,8 @@ makes the serial fallback bit-identical to the pooled path.
 When Σ has merge-class (``L_id``) constraints, each verdict of a
 validated document also carries its ``"aggregates"`` — the
 :func:`~repro.shard.aggregates.aggregates_of` view of the evaluators
-that produced the verdict — so a shard node exports them without
+(on the single-pass path: the constraint kernels and evaluators) that
+produced the verdict — so a shard node exports them without
 validating the document a second time.
 """
 
@@ -137,7 +138,9 @@ def stream_chunk(chunk: "list[tuple[str, str, str]]") -> dict:
     The payload shape matches :func:`validate_chunk`, with one addition:
     each verdict carries its ``"key"`` so the coordinator can fill in
     keys it chose not to compute up front.  Merge aggregates come from
-    the finished run that produced the verdict (``sv.last_run``).
+    the finished run that produced the verdict (``sv.last_run``): the
+    ``L_id`` kernels' state, or an evaluator's where the constraint
+    stays on one (an ``IDInverse``, a sub-element reference).
     """
     from repro.codegen import CodegenValidator
     from repro.shard.aggregates import aggregates_of

@@ -131,6 +131,15 @@ class Vertex:
         self._children.append(child)
         return child
 
+    def _attach(self, child: "Vertex") -> "Vertex":
+        """Append ``child``, a vertex of this tree that was created
+        detached and never attached: it has no parent and no children,
+        so it cannot be an ancestor of ``self`` and :meth:`append`'s
+        walk up the ancestors (linear in depth) is skipped."""
+        child._parent = self
+        self._children.append(child)
+        return child
+
     def extend(self, children: Iterable["str | Vertex"]) -> None:
         """Append several children in order."""
         for child in children:
@@ -323,10 +332,11 @@ class DataTree:
         return v
 
     def create_under(self, parent: Vertex, label: str) -> Vertex:
-        """Create a vertex and immediately append it to ``parent``."""
-        v = self.create(label)
-        parent.append(v)
-        return v
+        """Create a vertex and immediately append it to ``parent``, in
+        time independent of ``parent``'s depth."""
+        if parent._tree is not self:
+            raise DataModelError("cannot adopt a vertex from another tree")
+        return parent._attach(self.create(label))
 
     # -- the formal accessors ----------------------------------------------------
 

@@ -3,12 +3,16 @@
 A shard node exports, for every merge-class (``L_id``) constraint, a
 small JSON-safe aggregate of one document — ID-value occurrence counts,
 locally-dangling IDREF candidate sets, inverse pairing rows — produced
-by the evaluator's own
+by the same object that decided the constraint for the document's
+verdict: its evaluator's
 :meth:`~repro.constraints.evaluators.ConstraintEvaluator.corpus_aggregate`
-hook, so the exported view and the per-document semantics can never
-drift apart.  :func:`aggregates_of` is that view over any finished set
-of evaluators; a node takes it from the run that produced the
-document's verdict, so every document is validated once.
+hook, or on the single-pass engine its constraint kernel's
+(:mod:`repro.codegen.kernels`: ID constraints and ID references), which
+returns exactly what the evaluator would — so the exported view and
+the per-document semantics can never drift apart.
+:func:`aggregates_of` is that view over any finished set of evaluators
+and kernels; a node takes it from the run that produced the document's
+verdict, so every document is validated once.
 :func:`extract_aggregates` builds the same view from a parsed tree:
 the batch engine's export, and the reference the tests compare the
 single-pass engine's exports against.
@@ -70,10 +74,12 @@ def aggregates_of(evaluators, positions) -> "dict[str, dict]":
     """The ``{position: aggregate}`` view of one document's finished
     evaluators, keyed by Σ position (as str).
 
-    ``evaluators`` is indexable by Σ position (a run state's list, or a
-    position-keyed dict) and must be finished — built by ``full()`` or
-    fed every vertex through ``add()`` — and ``positions`` are the
-    merge-class positions (:func:`classify_sigma`).  Constraints whose
+    ``evaluators`` is indexable by Σ position (a codegen run state's
+    list of kernels and evaluators, or a position-keyed dict) and must
+    be finished — built by ``full()``, fed every vertex through
+    ``add()``, or (kernels) fed every start tag of a finished scan —
+    and ``positions`` are the merge-class positions
+    (:func:`classify_sigma`).  Constraints whose
     evaluator exports nothing (e.g. an ``L_id`` constraint over a type
     with no declared ID attribute — statically violated per document)
     are simply absent.

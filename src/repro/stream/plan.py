@@ -14,21 +14,23 @@ to dispatch in O(1) per element:
 - which Σ positions a *constraint kernel* checks (:class:`KernelSpec`,
   decided once per schema from Σ alone): every ``Key``, ``UnaryKey``,
   ``ForeignKey``, ``UnaryForeignKey`` and ``SetValuedForeignKey``
-  whose fields are all attributes.  These document-local ``L``/``L_u``
-  constraints compare attribute values only, so the scanner feeds
-  their kernels from a start tag's attribute map
-  (:attr:`StreamPlan.feeds`) and never retains the element;
+  whose fields are all attributes, every ``IDConstraint`` over a type
+  with a declared ID attribute, and every ``IDForeignKey`` and
+  ``IDSetValuedForeignKey`` with an attribute field into such a type.
+  These constraints compare attribute values only, so the scanner
+  feeds their kernels from a start tag's attribute map
+  (:attr:`StreamPlan.feeds`, and the document's ID owner table at
+  every ID-bearing label, :attr:`StreamPlan.id_owners`) and never
+  retains the element;
 - per element label: the tuple of the remaining constraint indices
   whose evaluators want to see vertices of that label — the Σ half
   that stays on the *existing*
   :class:`~repro.constraints.evaluators.ConstraintEvaluator` machinery
-  (§3.4 sub-element fields, inverses, the ``L_id`` merge class and
-  static violations), fed through the same ``add()`` path as an
-  incremental insertion;
-- the *relevant* label set (labels any of those evaluators or the
-  declared-ID bookkeeping cares about): only these vertices are
-  retained past their close tag, which is what caps memory at
-  O(depth + |Σ| residual state);
+  (§3.4 sub-element fields, inverses and static violations), fed
+  through the same ``add()`` path as an incremental insertion;
+- the *relevant* label set (labels any of those evaluators cares
+  about): only these vertices are retained past their close tag, which
+  is what caps memory at O(depth + |Σ| residual state);
 - which child labels act as §3.4 sub-element fields of which parents,
   so the validator knows whose text to capture, and which attributes
   the evaluators read per label, so only those are materialized on
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.constraints.base import Field
 from repro.constraints.evaluators import (
     ForeignKeyEvaluator,
     InverseEvaluator,
@@ -54,13 +57,16 @@ from repro.constraints.evaluators import (
     evaluator_for,
 )
 from repro.constraints.lang_l import ForeignKey, Key
+from repro.constraints.lang_lid import (
+    IDConstraint, IDForeignKey, IDSetValuedForeignKey,
+)
 from repro.constraints.lang_lu import (
     SetValuedForeignKey, UnaryForeignKey, UnaryKey,
 )
 from repro.regexlang.automaton import Matcher, matcher_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.constraints.base import Constraint, Field
+    from repro.constraints.base import Constraint
     from repro.dtd.schema import DTDC
     from repro.dtd.structure import DTDStructure
 
@@ -84,9 +90,8 @@ class LabelPlan:
         self.evaluators = evaluators
         #: child labels whose text is a §3.4 sub-element field of this type
         self.elem_fields = elem_fields
-        #: attribute names the evaluators can read on this type: their
-        #: attribute field sites plus the declared-ID attribute
-        #: (``StreamIndex`` reads it); kernels read the attribute map
+        #: attribute names the evaluators can read on this type (their
+        #: attribute field sites); kernels read the attribute map
         self.watched = watched
 
 
@@ -95,14 +100,20 @@ class KernelSpec:
 
     ``kind`` names the evaluator whose report the kernel reproduces:
     ``"key"`` (``Key``/``UnaryKey``, :class:`KeyEvaluator`), ``"rows"``
-    (``ForeignKey``, :class:`ForeignKeyEvaluator`) or ``"values"``
+    (``ForeignKey``, :class:`ForeignKeyEvaluator`), ``"values"``
     (``UnaryForeignKey``/``SetValuedForeignKey``,
+    :class:`ValueForeignKeyEvaluator`), ``"id"`` (``IDConstraint``,
+    :class:`~repro.constraints.evaluators.IDConstraintEvaluator`) or
+    ``"refs"`` (``IDForeignKey``/``IDSetValuedForeignKey``, an ID-style
     :class:`ValueForeignKeyEvaluator`).  ``fields`` and
     ``target_fields`` are ``(attribute, set-valued)`` pairs in Σ's
     field order, the flag saying whether the attribute is declared
     set-valued on its owner (``element`` or ``target``), so its value
-    splits on whitespace as the batch parser splits it; a key has no
-    target.  ``set_valued`` marks a set-valued foreign key (``⊆_S``).
+    splits on whitespace as the batch parser splits it; an ID
+    reference's target field is the target's ID attribute, and an
+    ``"id"`` kernel's one field is ``element``'s.  Keys and ``"id"``
+    kernels have no target.  ``set_valued`` marks a set-valued foreign
+    key (``⊆_S``).
     """
 
     __slots__ = ("position", "kind", "element", "fields", "target",
@@ -121,7 +132,7 @@ class KernelSpec:
         self.set_valued = set_valued
 
 
-def _field_sites(ev) -> list[tuple[str, "Field"]]:
+def _field_sites(ev) -> list[tuple[str, Field]]:
     """The (owner label, field) pairs an evaluator reads values through."""
     if isinstance(ev, KeyEvaluator):
         return [(ev.element, f) for f in ev.fields]
@@ -131,20 +142,32 @@ def _field_sites(ev) -> list[tuple[str, "Field"]]:
     if isinstance(ev, ValueForeignKeyEvaluator):
         return [(ev.element, ev.field), (ev.target, ev.targets.field)]
     if isinstance(ev, InverseEvaluator):
-        sites: list[tuple[str, "Field"]] = []
+        sites: list[tuple[str, Field]] = []
         for d in ev.directions:
             sites += [(d.a_label, d.key_a), (d.a_label, d.field_a),
                       (d.b_label, d.key_b), (d.b_label, d.field_b)]
         return sites
-    return []  # IDConstraint reads attributes only; static never reads
+    return []  # static violations never read
 
 
-def _kernel_spec(position: int, c: "Constraint",
-                 structure: "DTDStructure") -> "KernelSpec | None":
+def _kernel_spec(position: int, c: "Constraint", structure: "DTDStructure",
+                 id_map: dict[str, str]) -> "KernelSpec | None":
     """The kernel checking ``c``, or None when ``c`` stays on its
-    evaluator: a class other than the five kernel classes, or a §3.4
-    sub-element field."""
-    if isinstance(c, Key):
+    evaluator: an inverse, a §3.4 sub-element field, or an ``L_id``
+    constraint over a type with no declared ID attribute (statically
+    violated)."""
+    if isinstance(c, IDConstraint):
+        id_attr = id_map.get(c.element)
+        if id_attr is None:
+            return None
+        kind, fields, target, target_fields = "id", (Field(id_attr),), "", ()
+    elif isinstance(c, (IDForeignKey, IDSetValuedForeignKey)):
+        id_attr = id_map.get(c.target)
+        if id_attr is None:
+            return None
+        kind, fields = "refs", (c.field,)
+        target, target_fields = c.target, (Field(id_attr),)
+    elif isinstance(c, Key):
         kind, fields, target, target_fields = "key", c.fields, "", ()
     elif isinstance(c, UnaryKey):
         kind, fields, target, target_fields = "key", (c.field,), "", ()
@@ -166,9 +189,10 @@ def _kernel_spec(position: int, c: "Constraint",
              and structure.has_attribute(owner, f.name)
              and structure.is_set_valued(owner, f.name)) for f in fs)
 
-    return KernelSpec(position, kind, c.element, sites(c.element, fields),
-                      target, sites(target, target_fields),
-                      isinstance(c, SetValuedForeignKey))
+    return KernelSpec(
+        position, kind, c.element, sites(c.element, fields), target,
+        sites(target, target_fields),
+        isinstance(c, (SetValuedForeignKey, IDSetValuedForeignKey)))
 
 
 class StreamPlan:
@@ -187,14 +211,22 @@ class StreamPlan:
         #: per Σ position, the kernel checking it, or None for a
         #: constraint that stays on its evaluator
         self.kernels: tuple["KernelSpec | None", ...] = tuple(
-            _kernel_spec(i, c, self.structure)
+            _kernel_spec(i, c, self.structure, self.id_map)
             for i, c in enumerate(self.constraints))
+        #: label -> its declared ID attribute, for the labels whose start
+        #: tags feed the document's ID owner table: every ID-bearing
+        #: label when an ``"id"`` kernel reads the table, none otherwise
+        self.id_owners: dict[str, str] = (
+            dict(self.id_map) if any(
+                spec is not None and spec.kind == "id"
+                for spec in self.kernels) else {})
         #: label -> ((Σ position, "source" | "target"), ...): the kernel
         #: feeds a start tag of that label runs, in Σ order (a key's
-        #: feed is its "source"; a self-referencing foreign key has both)
+        #: feed is its "source"; a self-referencing foreign key has both;
+        #: an ``"id"`` kernel has none, it reads the owner table)
         feeds: dict[str, list[tuple[int, str]]] = {}
         for spec in self.kernels:
-            if spec is None:
+            if spec is None or spec.kind == "id":
                 continue
             if spec.target:
                 feeds.setdefault(spec.target, []).append(
@@ -219,16 +251,13 @@ class StreamPlan:
             if isinstance(ev, (InverseEvaluator, StaticViolationEvaluator)))
 
         #: labels whose vertices must survive their close tag: anything an
-        #: evaluator dispatches on, plus every type with a declared ID
-        #: attribute (document-wide clash bookkeeping of ``L_id``); a
-        #: label only kernels read is not retained
+        #: evaluator dispatches on; a label only kernels (or the ID
+        #: owner table) read is not retained
         self.relevant: frozenset[str] = frozenset(
-            label for ev in probes.values() for label in ev.labels
-        ) | frozenset(self.id_map)
+            label for ev in probes.values() for label in ev.labels)
 
         elem_fields: dict[str, set[str]] = {}
-        watched: dict[str, set[str]] = {
-            label: {attr} for label, attr in self.id_map.items()}
+        watched: dict[str, set[str]] = {}
         for ev in probes.values():
             for owner, f in _field_sites(ev):
                 sites = elem_fields if f.is_element else watched

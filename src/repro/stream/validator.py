@@ -64,40 +64,24 @@ class StreamVertex:
 
 
 class StreamIndex:
-    """The Σ-relevant shard of an :class:`AttributeIndex`, built as the
-    stream flushes closed vertices in pre-order.
+    """The Σ-relevant shard of an :class:`AttributeIndex`'s extensions,
+    built as the stream flushes closed vertices in pre-order.
 
-    Supports exactly the evaluator-facing surface: ``extension`` (in vid
-    = document order, like the tree-wide index), ``id_owners`` /
-    ``id_owner_list`` (insertion in pre-order, ditto), and
-    ``index_vertex`` returning the declared-ID values gained.
+    Supports exactly the evaluator-facing surface: ``extension`` (in
+    vid = document order, like the tree-wide index) and
+    ``index_vertex``.  No evaluator the single pass runs reads
+    ``id_owners``: ID constraints are kernels, which keep their own
+    owner table (:class:`~repro.codegen.kernels.IDOwners`).
     """
 
-    __slots__ = ("id_attributes", "_ext", "_id_owners")
+    __slots__ = ("_ext",)
 
-    def __init__(self, id_map: dict[str, str]):
-        self.id_attributes = id_map
+    def __init__(self):
         self._ext: dict[str, dict[int, StreamVertex]] = {}
-        self._id_owners: dict[str, dict[int, StreamVertex]] = {}
 
-    def index_vertex(self, v: StreamVertex) -> frozenset[str]:
-        """Index ``v``; returns its declared-ID values (the vertex's own
-        frozenset, never a copy)."""
+    def index_vertex(self, v: StreamVertex) -> None:
+        """Index ``v``."""
         self._ext.setdefault(v.label, {})[v.vid] = v
-        id_attr = self.id_attributes.get(v.label)
-        if id_attr is None:
-            return _EMPTY
-        values = v.attr_or_empty(id_attr)
-        for value in values:
-            self._id_owners.setdefault(value, {})[v.vid] = v
-        return values
 
     def extension(self, label: str) -> list[StreamVertex]:
         return list(self._ext.get(label, {}).values())
-
-    @property
-    def id_owners(self) -> dict[str, dict[int, StreamVertex]]:
-        return self._id_owners
-
-    def id_owner_list(self, value: str) -> list[StreamVertex]:
-        return list(self._id_owners.get(value, {}).values())

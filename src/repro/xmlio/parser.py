@@ -68,8 +68,7 @@ def _parse_document(text: str, structure: DTDStructure | None,
             if not stack:
                 raise XMLSyntaxError(
                     f"second root element {token.value!r}", line=token.line)
-            vertex = tree.create(token.value)
-            stack[-1].append(vertex)
+            vertex = tree.create_under(stack[-1], token.value)
         for name, raw in token.attributes:
             vertex.set_attribute(name, _attribute_values(
                 token.value, name, raw, structure))

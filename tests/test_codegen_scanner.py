@@ -25,7 +25,8 @@ Properties of the one-regex-per-tag scanner in
   observability on the per-constraint counters (vertices visited,
   index hits and misses, violations) match batch's for kernels and
   evaluators alike, and the per-label dispatch counters count the
-  document's retained elements.
+  document's retained elements.  A schema whose Σ is all kernels
+  (``L``/``L_u`` or ``L_id``) retains nothing.
 - **Bounded runs.**  A Σ-irrelevant run longer than one run match is
   consumed in several, with the parent content model stepped across
   them.
@@ -474,7 +475,7 @@ def _nested_text(n_shelves: int, per_shelf: int) -> str:
 
 def _registry_text(n_persons: int, n_mentions: int) -> str:
     """More ``L_id`` siblings than one flush batch (both constraints
-    stay on evaluators), with one shared pid and one ghost mention."""
+    are kernels), with one shared pid and one ghost mention."""
     parts = ["<registry>"]
     parts += [f'<person pid="p{i % (n_persons - 1)}"/>'
               for i in range(n_persons)]
@@ -484,9 +485,29 @@ def _registry_text(n_persons: int, n_mentions: int) -> str:
     return "".join(parts)
 
 
+def _roster_dtdc() -> DTDC:
+    """``entry`` elements keyed by their ``name`` child, a §3.4
+    sub-element field, so Σ stays on the evaluators."""
+    s = DTDStructure("roster")
+    s.define_element("roster", "(entry*)")
+    s.define_element("entry", "(name)")
+    s.define_element("name", "(#PCDATA)")
+    s.check()
+    return DTDC(s, [UnaryKey("entry", Field("name", is_element=True))])
+
+
+def _roster_text(n_entries: int) -> str:
+    """``n_entries`` retained siblings, none nested in another, with one
+    shared name."""
+    return "<roster>" + "".join(
+        f"<entry><name>n{i % (n_entries - 1)}</name></entry>"
+        for i in range(n_entries)) + "</roster>"
+
+
 BATCH_CASES = {
     "siblings": (library_schema, _library_text(2 * FLUSH_BATCH + 7,
                                                FLUSH_BATCH + 3)),
+    "roster": (_roster_dtdc, _roster_text(2 * FLUSH_BATCH + 7)),
     "nested": (_nested_dtdc, _nested_text(6, FLUSH_BATCH // 2 + 5)),
     "registry": (registry_schema, _registry_text(FLUSH_BATCH + 9,
                                                  FLUSH_BATCH + 5)),
@@ -523,17 +544,17 @@ class TestFlushBatches:
             flush(self)
 
         monkeypatch.setattr(RunState, "flush_region", counted)
-        dtd = registry_schema()
+        dtd = _roster_dtdc()
         n = 2 * FLUSH_BATCH + 7 + FLUSH_BATCH + 3
-        CodegenValidator(as_handle(dtd)).validate_text(
-            _registry_text(2 * FLUSH_BATCH + 7, FLUSH_BATCH + 3))
+        CodegenValidator(as_handle(dtd)).validate_text(_roster_text(n))
         assert calls == [FLUSH_BATCH] * (n // FLUSH_BATCH) \
             + [n % FLUSH_BATCH]
 
     def test_kernel_schema_retains_nothing(self, monkeypatch):
-        """Every constraint of the library schema is a kernel: a
-        document of it constructs no ``StreamVertex`` and never calls
-        ``flush_region``, and its report still matches batch."""
+        """Every constraint of the library (``L``/``L_u``) and registry
+        (``L_id``) schemas is a kernel: a document of either constructs
+        no ``StreamVertex`` and never calls ``flush_region``, and its
+        report still matches batch."""
         import repro.codegen.runtime as runtime
 
         made, flushed = [], []
@@ -550,15 +571,17 @@ class TestFlushBatches:
 
         monkeypatch.setattr(runtime, "StreamVertex", Counted)
         monkeypatch.setattr(runtime.RunState, "flush_region", flush)
-        dtd = library_schema()
-        text = _library_text(2 * FLUSH_BATCH + 7, FLUSH_BATCH + 3)
-        cg = CodegenValidator(as_handle(dtd))
-        for run in (lambda: cg.validate_text(text),
-                    lambda: cg.validate_bytes(text.encode())):
-            assert run().to_json() == validate(
-                parse_document(text, dtd.structure), dtd).to_json()
-        assert made == [] and flushed == []
-        assert cg.compiled.plan.relevant == frozenset()
+        n, m = 2 * FLUSH_BATCH + 7, FLUSH_BATCH + 3
+        for make, text in ((library_schema, _library_text(n, m)),
+                           (registry_schema, _registry_text(n, m))):
+            dtd = make()
+            cg = CodegenValidator(as_handle(dtd))
+            for run in (lambda: cg.validate_text(text),
+                        lambda: cg.validate_bytes(text.encode())):
+                assert run().to_json() == validate(
+                    parse_document(text, dtd.structure), dtd).to_json()
+            assert made == [] and flushed == []
+            assert cg.compiled.plan.relevant == frozenset()
 
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
     def test_obs_counters_match_batch(self, case):

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.codegen import CodegenValidator
 from repro.constraints.base import Field
 from repro.constraints.evaluators import evaluator_for
 from repro.constraints.lang_l import ForeignKey, Key
@@ -26,6 +27,7 @@ from repro.dtd.validate import ValidationReport
 from repro.errors import ConstraintError, ParseError, ReproError
 from repro.obs import Observability
 from repro.server import ValidationServer
+from repro.server.registry import as_handle
 from repro.shard import (
     Locality, LocalNode, ShardedCorpusValidator, SubprocessNode,
     WatchSession, classify_constraint, classify_sigma, extract_aggregates,
@@ -110,21 +112,33 @@ class TestLocality:
         """The schema-level classification and the evaluator-level
         ``locality`` attribute must agree constraint by constraint —
         the static view is what the coordinator plans with, the runtime
-        view is what actually exports aggregates."""
+        view is what actually exports aggregates.  That holds for the
+        batch evaluators and for a codegen run's kernels (both schemas'
+        Σ are all kernels there), whose ``corpus_aggregate()`` is what
+        a shard node exports."""
         for dtd, trees in (library, federation):
             id_map = dtd.structure.id_attribute_map()
-            tree = parse_document(serialize(trees[0]), dtd.structure)
+            text = serialize(trees[0])
+            tree = parse_document(text, dtd.structure)
             index = AttributeIndex(tree, id_attributes=id_map)
+            batch = []
             for constraint in dtd.constraints:
                 evaluator = evaluator_for(constraint, index, id_map)
-                assert evaluator.locality == \
-                    str(classify_constraint(constraint)), constraint
                 evaluator.full()
-                aggregate = evaluator.corpus_aggregate()
-                if classify_constraint(constraint) is Locality.MERGE:
-                    assert aggregate is not None, constraint
-                else:
-                    assert aggregate is None, constraint
+                batch.append(evaluator)
+            cg = CodegenValidator(as_handle(dtd))
+            assert all(cg.compiled.plan.kernels)
+            cg.validate_text(text)
+            for evaluators in (batch, cg.last_run.evaluators):
+                for constraint, evaluator in zip(dtd.constraints,
+                                                 evaluators):
+                    assert evaluator.locality == \
+                        str(classify_constraint(constraint)), constraint
+                    aggregate = evaluator.corpus_aggregate()
+                    if classify_constraint(constraint) is Locality.MERGE:
+                        assert aggregate is not None, constraint
+                    else:
+                        assert aggregate is None, constraint
 
 
 # -- shard assignment -------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 
 from repro import Validator
 from repro.codegen import CodegenValidator, compile_schema
+from repro.constraints.lang_lid import IDConstraint
 from repro.dtd.validate import validate
 from repro.errors import XMLSyntaxError
 from repro.server.registry import as_handle
@@ -92,6 +93,40 @@ class TestStreamPlan:
         assert plan.labels["entry"].evaluators == (2,)
         assert plan.labels["entry"].elem_fields == {"note"}
         assert plan.labels["entry"].watched == frozenset()
+
+    def test_lid_kernels(self):
+        """An ``IDConstraint`` over a type with an ID attribute is an
+        ``"id"`` kernel, fed by no site of its own: every ID-bearing
+        label feeds the owner table.  An ID reference is a ``"refs"``
+        kernel whose target field is the target's ID attribute.  An
+        ``L_id`` constraint over a type with no ID attribute stays on
+        its (static) evaluator.  Nothing is retained, and the plan
+        pickles."""
+        from repro.workloads.generators import registry_schema
+
+        dtd = registry_schema()
+        dtd = type(dtd)(dtd.structure, list(dtd.constraints) + [
+            IDConstraint("registry")], check=False)
+        plan = compile_plan(dtd)
+        ids, refs, static = plan.kernels
+        assert (ids.kind, ids.element, ids.fields, ids.target) \
+            == ("id", "person", (("pid", False),), "")
+        assert (refs.kind, refs.element, refs.fields, refs.target,
+                refs.target_fields, refs.set_valued) \
+            == ("refs", "mention", (("who", False),), "person",
+                (("pid", False),), False)
+        assert static is None and plan.deferred == {2}
+        assert plan.id_owners == {"person": "pid"}
+        assert plan.feeds == {"person": ((1, "target"),),
+                              "mention": ((1, "source"),)}
+        assert plan.relevant == frozenset()
+        assert all(lp.watched == frozenset()
+                   for lp in plan.labels.values())
+        clone = pickle.loads(pickle.dumps(plan))
+        text = ('<registry><person pid="a"/><person pid="a"/>'
+                '<mention who="b"/></registry>')
+        assert _single_pass(clone).validate_text(text).to_json() \
+            == _both(dtd, text)[0]
 
     def test_plan_survives_pickling(self, lib):
         plan = compile_plan(lib)

@@ -121,6 +121,51 @@ class TestParser:
             frozenset({"a b"})
 
 
+class TestDeepDocuments:
+    """Parsing is linear in depth: a parsed vertex is fresh, so it is
+    attached without ``Vertex.append``'s cycle check, a walk up the
+    ancestors that costs O(depth) per vertex."""
+
+    def test_parser_attaches_without_the_ancestor_walk(self, monkeypatch):
+        from repro.datamodel.tree import Vertex
+
+        append = Vertex.append
+
+        def text_only(self, child):
+            assert isinstance(child, str), \
+                "the parser attached a vertex through append()"
+            return append(self, child)
+
+        monkeypatch.setattr(Vertex, "append", text_only)
+        tree = parse_document("<a><b><c>x</c></b><b/>y</a>")
+        assert [v.label for v in tree.vertices()] == ["a", "b", "c", "b"]
+        tree.check_invariants()
+
+    def test_depth_100000_validates_on_batch_and_codegen(self):
+        import time
+
+        from repro.codegen import CodegenValidator
+        from repro.dtd.validate import validate
+        from repro.server.registry import as_handle
+        from repro.xmlio.dtdparse import parse_dtdc
+
+        dtd = parse_dtdc("<!ELEMENT d (d)?>\n"
+                         "<!ATTLIST d k CDATA #REQUIRED>\n"
+                         "%% constraints\nd.k -> d\n")
+        depth = 100_000
+        text = "".join(f'<d k="{i % (depth - 1)}">' for i in range(depth)) \
+            + "</d>" * depth
+        t0 = time.perf_counter()
+        batch = validate(parse_document(text, dtd.structure), dtd)
+        codegen = CodegenValidator(as_handle(dtd)).validate_text(text)
+        elapsed = time.perf_counter() - t0
+        assert [(v.code, v.vertices) for v in batch.violations] \
+            == [("key", (0, depth - 1))]
+        assert codegen.to_json() == batch.to_json()
+        # about 4.5 s on a 2-vCPU host
+        assert elapsed < 60, f"depth {depth} took {elapsed:.1f} s"
+
+
 class TestSerializer:
     def test_roundtrip_structure(self, book):
         dtd, doc = book
