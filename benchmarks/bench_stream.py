@@ -296,10 +296,9 @@ def _dense_mismatches(directory: str) -> tuple[int, int]:
 
 
 def test_e23_codegen_dense_files_match_batch(tmp_path):
-    """Acceptance: on constraint-dense files, more elements than one
-    constraint-feed batch included, the mmap path is byte-identical to
-    batch — with Σ on the constraint kernels (library, registry) and on
-    the evaluators (club)."""
+    """Acceptance: on constraint-dense files of up to 2000 vertices, the
+    mmap path is byte-identical to batch — with Σ on the constraint
+    kernels (library, registry) and on the evaluators (club)."""
     files, mismatches = _dense_mismatches(str(tmp_path))
     assert files and mismatches == 0
 

@@ -2,7 +2,7 @@
 
 :func:`compile_schema` is the one producer of :class:`CompiledSchema`
 objects: it builds the scanners of :mod:`repro.codegen.runtime`
-in-process from a compiled :class:`~repro.stream.plan.StreamPlan` —
+in-process from a compiled :class:`~repro.codegen.plan.StreamPlan` —
 once per :class:`~repro.server.registry.SchemaHandle` (memoized on
 ``handle.codegen``) and once per corpus worker process.
 :class:`CodegenValidator` is the document-facing wrapper with the
@@ -112,19 +112,21 @@ class CodegenValidator:
             return self.validate_text(source)
         return self.validate_path(source)
 
-    def _finish_span(self, span, rs, report):
-        span.set(elements=rs.next_vid, skipped=rs.n_skipped,
-                 violations=len(report))
-
-    def validate_text(self, text: str):
+    def _run(self, scan, buf):
+        """``scan`` over ``buf`` with a fresh :class:`RunState`, under a
+        ``codegen.validate`` span when observability is on."""
         obs = self.obs
         rs = self.last_run = RunState(self.compiled.plan, obs)
         if not obs.enabled:
-            return self.compiled.scan_str(text, rs)
-        with obs.span("codegen.validate", chars=len(text)) as span:
-            report = self.compiled.scan_str(text, rs)
-            self._finish_span(span, rs, report)
+            return scan(buf, rs)
+        with obs.span("codegen.validate", chars=len(buf)) as span:
+            report = scan(buf, rs)
+            span.set(elements=rs.next_vid, skipped=rs.n_skipped,
+                     violations=len(report))
         return report
+
+    def validate_text(self, text: str):
+        return self._run(self.compiled.scan_str, text)
 
     def validate_bytes(self, data):
         """Validate raw document bytes (any other buffer is copied to
@@ -133,14 +135,7 @@ class CodegenValidator:
             data = bytes(data)
         if not _is_ascii(data):
             return self.validate_text(decode_document(data))
-        obs = self.obs
-        rs = self.last_run = RunState(self.compiled.plan, obs)
-        if not obs.enabled:
-            return self.compiled.scan_bytes(data, rs)
-        with obs.span("codegen.validate", chars=len(data)) as span:
-            report = self.compiled.scan_bytes(data, rs)
-            self._finish_span(span, rs, report)
-        return report
+        return self._run(self.compiled.scan_bytes, data)
 
     def validate_path(self, path: str):
         """Validate a file via ``mmap`` — the zero-copy path: the kernel
@@ -156,11 +151,4 @@ class CodegenValidator:
             with mm:
                 if not _is_ascii(mm):
                     return self.validate_text(decode_document(mm[:]))
-                obs = self.obs
-                rs = self.last_run = RunState(self.compiled.plan, obs)
-                if not obs.enabled:
-                    return self.compiled.scan_bytes(mm, rs)
-                with obs.span("codegen.validate", chars=len(mm)) as span:
-                    report = self.compiled.scan_bytes(mm, rs)
-                    self._finish_span(span, rs, report)
-                return report
+                return self._run(self.compiled.scan_bytes, mm)

@@ -7,11 +7,11 @@ compares attribute values: no two ``tau`` vertices may share an
 does checking the ``L_id`` constraints ``tau.id ->id tau`` (an ID value
 has one owner among all ID-bearing elements) and ``tau.l ⊆ tau'.id`` /
 ``⊆_S`` (an IDREF value is the ID of some ``tau'`` element).  The plan
-(:class:`~repro.stream.plan.KernelSpec`) gives each such constraint
+(:class:`~repro.codegen.plan.KernelSpec`) gives each such constraint
 whose fields are all attributes a *kernel* here; the scanner calls its
 feeds at each start tag of a label it reads, with the vid and the tag's
 unescaped attribute map, so the element is never retained — no
-:class:`~repro.stream.validator.StreamVertex`, no value frozensets, no
+:class:`~repro.codegen.runtime.StreamVertex`, no value frozensets, no
 index entry.
 
 - a **key kernel** probes a dict of first owners with each complete
@@ -47,8 +47,7 @@ Kernels share the evaluators' emit and counter protocol
 (:class:`~repro.constraints.evaluators.ConstraintEvaluator`): they sit
 at their Σ positions in the run state's ``evaluators`` list, emit
 between the evaluator-path constraints, and read their counters off
-their state once the document is done
-(:meth:`~repro.constraints.evaluators.ConstraintEvaluator.settled_counts`),
+their state once the document is done (:meth:`_Kernel.settled_counts`),
 so feeding counts nothing.  They share the evaluators' shard locality
 too: the ``L``/``L_u`` kernels are ``"local"`` and return None from
 ``corpus_aggregate``; the ``L_id`` kernels are ``"merge"`` and return
@@ -95,7 +94,7 @@ class _Kernel(ConstraintEvaluator):
     (``"source"``, and ``"target"`` for a foreign key) to the function
     the scanner calls with ``(vid, amap)`` at each start tag of the
     label in that role; a kernel is never fed through ``add()`` and
-    never deferred, so never ``full()``-ed."""
+    never ``full()``-ed."""
 
     def __init__(self, constraint, spec, name: str):
         super().__init__(constraint, None, {})
@@ -105,6 +104,16 @@ class _Kernel(ConstraintEvaluator):
         self.target = spec.target
         self.unary = len(spec.fields) == 1
         self.feeds: dict = {}
+
+    def settled_counts(self) -> tuple[int, int, int]:
+        """``(visited, hits, misses)`` as the evaluator's one ``full()``
+        pass over the document would count them, read off the state.
+
+        The feeds run in document order, where a source can precede its
+        target and an ID owner its namesake, so counting while fed would
+        not give ``full()``'s numbers.
+        """
+        raise NotImplementedError
 
 
 class _KeyKernel(_Kernel):

@@ -1,11 +1,11 @@
-"""Compile ``DTD^C = (S, Σ)`` into a per-element-label dispatch plan.
+"""Compile ``DTD^C = (S, Σ)`` into the single-pass engine's plan.
 
 Batch validation (Definition 2.4) walks a materialized tree three times:
 once to build the :class:`~repro.datamodel.indexes.AttributeIndex`, once
 for the structural checks, and once per constraint in Σ.  The
 single-pass engine (:mod:`repro.codegen`) makes one pass over the
 document instead, and this module prepares everything that pass needs
-to dispatch in O(1) per element:
+to handle each element in O(1):
 
 - per declared element type: the (lazily-determinized) content-model
   :class:`~repro.regexlang.automaton.Matcher`, the declared attribute
@@ -22,19 +22,17 @@ to dispatch in O(1) per element:
   (:attr:`StreamPlan.feeds`, and the document's ID owner table at
   every ID-bearing label, :attr:`StreamPlan.id_owners`) and never
   retains the element;
-- per element label: the tuple of the remaining constraint indices
-  whose evaluators want to see vertices of that label — the Σ half
-  that stays on the *existing*
+- the *relevant* label set: the labels the remaining constraints'
+  evaluators read — the Σ half that stays on the *existing*
   :class:`~repro.constraints.evaluators.ConstraintEvaluator` machinery
-  (§3.4 sub-element fields, inverses and static violations), fed
-  through the same ``add()`` path as an incremental insertion;
-- the *relevant* label set (labels any of those evaluators cares
-  about): only these vertices are retained past their close tag, which
-  is what caps memory at O(depth + |Σ| residual state);
-- which child labels act as §3.4 sub-element fields of which parents,
-  so the validator knows whose text to capture, and which attributes
-  the evaluators read per label, so only those are materialized on
-  retained vertices.
+  (§3.4 sub-element fields, inverses and static violations).  Only
+  these elements are retained, each with its whole attribute map, and
+  each such constraint is checked by one batch ``full()`` pass over
+  them when the document ends;
+- which child labels act as §3.4 sub-element fields of which parents
+  (:attr:`StreamPlan.elem_fields`, keyed by every label Σ names such
+  a field on, declared or not), so the scanner knows whose text to
+  capture.
 
 A plan is compiled once per schema and is picklable (kernel specs are
 plain data); the matcher table is dropped on ``__getstate__`` and
@@ -52,7 +50,6 @@ from repro.constraints.evaluators import (
     ForeignKeyEvaluator,
     InverseEvaluator,
     KeyEvaluator,
-    StaticViolationEvaluator,
     ValueForeignKeyEvaluator,
     evaluator_for,
 )
@@ -74,25 +71,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LabelPlan:
     """Everything the single pass needs to know about one element type."""
 
-    __slots__ = ("label", "declared_attrs", "set_valued", "evaluators",
-                 "elem_fields", "watched")
+    __slots__ = ("label", "declared_attrs", "set_valued")
 
     def __init__(self, label: str, declared_attrs: frozenset[str],
-                 set_valued: frozenset[str], evaluators: tuple[int, ...],
-                 elem_fields: frozenset[str], watched: frozenset[str]):
+                 set_valued: frozenset[str]):
         self.label = label
         #: declared attribute names, in the exact ``structure.attributes``
         #: order the batch validator iterates for missing-attribute checks
         self.declared_attrs = declared_attrs
         self.set_valued = set_valued
-        #: indices into ``plan.constraints`` whose evaluators (not
-        #: kernels) are interested in this label
-        self.evaluators = evaluators
-        #: child labels whose text is a §3.4 sub-element field of this type
-        self.elem_fields = elem_fields
-        #: attribute names the evaluators can read on this type (their
-        #: attribute field sites); kernels read the attribute map
-        self.watched = watched
 
 
 class KernelSpec:
@@ -237,48 +224,40 @@ class StreamPlan:
             label: tuple(sites) for label, sites in feeds.items()}
 
         # Probe the evaluator-path constraints once (evaluators are
-        # cheap, stateless until fed) to learn their label interests and
-        # field sites; the validator builds fresh instances per document.
-        probes = {i: evaluator_for(c, None, self.id_map)
-                  for i, c in enumerate(self.constraints)
-                  if self.kernels[i] is None}
-        #: constraint indices whose evaluators must run a deferred
-        #: end-of-document ``full()`` instead of per-close ``add()``
-        #: (inverse pair ordering is not reproducible incrementally;
-        #: static violations have no state at all)
-        self.deferred: frozenset[int] = frozenset(
-            i for i, ev in probes.items()
-            if isinstance(ev, (InverseEvaluator, StaticViolationEvaluator)))
+        # cheap, stateless until fed) to learn the labels and §3.4
+        # fields they read; the run state builds fresh instances per
+        # document.
+        probes = [evaluator_for(c, None, self.id_map)
+                  for c, spec in zip(self.constraints, self.kernels)
+                  if spec is None]
 
-        #: labels whose vertices must survive their close tag: anything an
-        #: evaluator dispatches on; a label only kernels (or the ID
-        #: owner table) read is not retained
+        #: labels whose elements are retained for the evaluators: every
+        #: label one reads; a label only kernels (or the ID owner table)
+        #: read is not retained
         self.relevant: frozenset[str] = frozenset(
-            label for ev in probes.values() for label in ev.labels)
+            label for ev in probes for label in ev.labels)
 
         elem_fields: dict[str, set[str]] = {}
-        watched: dict[str, set[str]] = {}
-        for ev in probes.values():
+        for ev in probes:
             for owner, f in _field_sites(ev):
-                sites = elem_fields if f.is_element else watched
-                sites.setdefault(owner, set()).add(f.name)
+                if f.is_element:
+                    elem_fields.setdefault(owner, set()).add(f.name)
+        #: label -> the child labels whose text is a §3.4 sub-element
+        #: field of it, for every label Σ names such a field on
+        #: (declared or not)
+        self.elem_fields: dict[str, frozenset[str]] = {
+            owner: frozenset(names) for owner, names in elem_fields.items()}
+        #: child labels captured as text anywhere (union of elem_fields)
+        self.text_fields: frozenset[str] = frozenset().union(
+            *self.elem_fields.values())
 
         self.labels: dict[str, LabelPlan] = {}
         for label in self.structure.element_types:
-            interested = tuple(i for i, ev in probes.items()
-                               if label in ev.labels and i not in
-                               self.deferred)
             declared = self.structure.attributes(label)
             self.labels[label] = LabelPlan(
                 label, declared,
                 frozenset(a for a in declared
-                          if self.structure.is_set_valued(label, a)),
-                interested, frozenset(elem_fields.get(label, ())),
-                frozenset(watched.get(label, ())))
-
-        #: child labels captured as text anywhere (union of elem_fields)
-        self.text_fields: frozenset[str] = frozenset(
-            name for names in elem_fields.values() for name in names)
+                          if self.structure.is_set_valued(label, a)))
 
         self._matchers: dict[str, Matcher] | None = None
 

@@ -1,12 +1,13 @@
 """The codegen engine's scanners and its per-document run state.
 
 :func:`scanners` builds, in-process from a compiled
-:class:`~repro.stream.plan.StreamPlan`, two scanner closures — one over
+:class:`~repro.codegen.plan.StreamPlan`, two scanner closures — one over
 ``str`` buffers, one over ``bytes``/``mmap`` buffers — each a single
 pass that parses, checks structure, and feeds Σ into a
 :class:`RunState`: start-tag attribute maps into the constraint kernels
-(:mod:`repro.codegen.kernels`) and closed retained vertices into the
-evaluators.  Their tables are specialised to the schema:
+(:mod:`repro.codegen.kernels`), and the elements the other constraints
+read into a :class:`StreamIndex` for their evaluators.  Their tables are
+specialised to the schema:
 
 - **content models** step through the plan's lazily-determinised
   :class:`~repro.regexlang.automaton.Matcher`: a transition is one
@@ -14,12 +15,9 @@ evaluators.  Their tables are specialised to the schema:
   and a row fills on first use, so no content model is determinised
   beyond what documents reach;
 - **kernel feeds** — per label, the kernel feeds its start tags run
-  (:attr:`~repro.stream.plan.StreamPlan.feeds`, plus the ID owner
+  (:attr:`~repro.codegen.plan.StreamPlan.feeds`, plus the ID owner
   table's at each ID-bearing label when an ``IDConstraint`` is a
   kernel), called with the vid and the tag's unescaped attribute map;
-- **watched attributes** — only the attribute names the evaluators read
-  (:attr:`~repro.stream.plan.LabelPlan.watched`) are materialized, as
-  value sets, on retained vertices;
 - **Σ-irrelevant run labels** (:func:`run_labels`) — labels no
   constraint watches, with no declared attributes and a text-or-empty
   content model, whose runs a bounded regex match consumes.
@@ -40,10 +38,10 @@ What a scanner does per construct:
   regex match, so neither the regex engine's backtracking stack nor the
   copy an ``mmap`` (which has no ``count``) needs to count a match in
   grows with the run; the parent DFA advances arithmetically;
-- closed retained vertices (of the labels the evaluator-path
-  constraints read) are buffered and handed to
-  :meth:`RunState.flush_region` in batches of :data:`FLUSH_BATCH`; a
-  schema whose Σ is all kernels retains none.
+- an element of a label the evaluator-path constraints read
+  (:attr:`~repro.codegen.plan.StreamPlan.relevant`) becomes a
+  :class:`StreamVertex` at its start tag, appended to its label's
+  extension; a schema whose Σ is all kernels retains none.
 
 Both scanners use the ``str`` whitespace class: the bytes scanner runs
 on ASCII input only, where that class is :data:`_WS_BYTES`, and its
@@ -57,21 +55,17 @@ comment raise the tokenizer's located errors.
 from __future__ import annotations
 
 import re
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from repro.codegen.kernels import IDOwners, kernel_for
 from repro.constraints.evaluators import evaluator_for
 from repro.dtd.validate import ValidationReport
 from repro.errors import XMLSyntaxError
 from repro.obs import NULL_OBS
-from repro.stream.validator import StreamIndex, StreamVertex
 from repro.xmlio.escape import unescape
 
-__all__ = ["FLUSH_BATCH", "RUN_MAX", "RunState", "run_labels", "scanners"]
-
-#: closed retained vertices buffered before :meth:`RunState.flush_region`
-#: runs (a batch is flushed only while no retained element is open)
-FLUSH_BATCH = 256
+__all__ = ["RUN_MAX", "RunState", "StreamIndex", "StreamVertex",
+           "run_labels", "scanners"]
 
 #: the ASCII characters ``str.isspace()`` (and ``str``-mode ``\s``)
 #: accepts: ``\t \n \x0b \x0c \r``, ``\x1c``–``\x1f`` and space — the
@@ -80,7 +74,6 @@ _WS_BYTES = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _NAME = r"[A-Za-z_:][\w:.\-]*"
 _EMPTY_FS: frozenset = frozenset()
 _EMPTY_MAP: dict = {}
-_VID = attrgetter("vid")
 
 #: the attributes of a decoded start-tag span as (name, "-quoted value,
 #: '-quoted value); the span already matched the start-tag pattern, so
@@ -172,10 +165,11 @@ def _scanner(plan, runs, *, as_bytes):
 
     root = plan.root
     relevant = plan.relevant
+    elem_fields = plan.elem_fields
     # rec tuple layout (one per declared label, keyed by its mode label)
     # 0 str label  1 matcher rows  2 matcher acceptance  3 matcher
-    # 4 declared (live order)  5 set-valued  6 watched  7 relevant
-    # 8 wants  9 run regex  10 run count tokens
+    # 4 declared (live order)  5 set-valued  6 run regex  7 run count
+    # tokens
     LABELS = {}
     for slabel, lp in plan.labels.items():
         if as_bytes and not slabel.isascii():
@@ -189,8 +183,7 @@ def _scanner(plan, runs, *, as_bytes):
             run_re, run_tokens = R(pattern), tuple(M(t) for t in tokens)
         LABELS[M(slabel)] = (
             slabel, m.rows, m.accepting, m,
-            lp.declared_attrs, lp.set_valued, lp.watched,
-            slabel in relevant, lp.elem_fields, run_re, run_tokens)
+            lp.declared_attrs, lp.set_valued, run_re, run_tokens)
     LT = M("<")
     AMP = M("&")
     NL = M("\n")
@@ -225,8 +218,7 @@ def _scanner(plan, runs, *, as_bytes):
         end_tag = END_TAG
         labels = LABELS
         structural = rs.structural
-        region = rs.region
-        flush_region = rs.flush_region
+        index_vertex = rs.index.index_vertex
         feeds = rs.feeds
         stack = []
         # frame layout: 0 mode label  1 str label  2 vid  3 matcher rows
@@ -239,7 +231,6 @@ def _scanner(plan, runs, *, as_bytes):
         next_vid = 0
         n_skipped = 0
         root_seen = False
-        open_relevant = 0
 
         count = getattr(buf, "count", None)
         if count is None:
@@ -313,16 +304,16 @@ def _scanner(plan, runs, *, as_bytes):
             if m is not None:
                 label, span, slash = m.groups()
                 rec = labels.get(label)
-                if stack and rec is not None and rec[9] is not None:
+                if stack and rec is not None and rec[6] is not None:
                     # a run of Σ-irrelevant leaves: consume up to
                     # RUN_MAX of them
-                    sm = rec[9].match(buf, m.start(1) - 1)
+                    sm = rec[6].match(buf, m.start(1) - 1)
                     if sm is not None:
                         if pending:
                             flush()
                         start, end = sm.span()
                         cnt = 0
-                        for tok in rec[10]:
+                        for tok in rec[7]:
                             cnt += count(tok, start, end)
                         parent = stack[-1]
                         state = parent[4]
@@ -360,16 +351,8 @@ def _scanner(plan, runs, *, as_bytes):
                         n_skipped += cnt
                         pos = end
                         continue
-                if rec is not None:
-                    slabel = rec[0]
-                    keep = rec[6]
-                else:
-                    slabel = dec(label)
-                    keep = _EMPTY_FS
-                # amap: every attribute, unescaped (what kernels read);
-                # attrs: the watched ones, as the value sets a retained
-                # vertex carries
-                attrs = {}
+                slabel = rec[0] if rec is not None else dec(label)
+                # amap: every attribute, unescaped
                 if span:
                     span = dec(span)
                     if "<" in span:  # a raw '<' in an attribute value
@@ -384,10 +367,6 @@ def _scanner(plan, runs, *, as_bytes):
                         if amp and "&" in val:
                             val = cook(val, m.start(1) - 1)
                         amap[name] = val
-                        if name in keep:
-                            attrs[name] = (
-                                frozenset(val.split()) if name in rec[5]
-                                else frozenset((val,)))
                 else:
                     amap = _EMPTY_MAP
                 if pending:
@@ -423,7 +402,6 @@ def _scanner(plan, runs, *, as_bytes):
                 else:
                     parent = None
                     texts = None
-                sv = None
                 if rec is not None:
                     declared = rec[4]
                     if amap.keys() != declared:
@@ -443,16 +421,19 @@ def _scanner(plan, runs, *, as_bytes):
                                     (vid, 1), "attribute",
                                     f"missing attribute {slabel}.{name}",
                                     (vid,)))
-                    if rec[7]:
-                        sv = StreamVertex(vid, slabel, attrs)
                 else:
                     structural.append((
                         (vid, 0), "element",
                         f"undeclared element type {slabel!r}", (vid,)))
-                    if slabel in relevant:
-                        sv = StreamVertex(vid, slabel, {
-                            name: frozenset((val,))
-                            for name, val in amap.items()})
+                if relevant and slabel in relevant:
+                    sv = StreamVertex(
+                        vid, slabel, amap,
+                        rec[5] if rec is not None else _EMPTY_FS)
+                    index_vertex(sv)
+                    wants = elem_fields.get(slabel, _EMPTY_FS)
+                else:
+                    sv = None
+                    wants = _EMPTY_FS
                 if feeds:
                     kf = feeds.get(slabel)
                     if kf is not None:
@@ -468,23 +449,14 @@ def _scanner(plan, runs, *, as_bytes):
                             f"children of {slabel!r} do not match its "
                             f"content model (stuck after 0 child(ren); "
                             f"expected one of {expected})", (vid,)))
-                    if texts is not None and parent[7] is not None:
+                    if texts is not None:
                         parent[7]._add_elem_child(slabel, "")
-                    if sv is not None:
-                        region.append(sv)
-                        if not open_relevant and len(region) >= FLUSH_BATCH:
-                            flush_region()
                     continue
-                if sv is not None:
-                    open_relevant += 1
                 stack.append([
                     label, slabel, vid,
                     rec[1] if rec is not None else None,
                     0 if rec is not None else None,
-                    0, -1, sv,
-                    rec[8] if sv is not None and rec is not None
-                    else _EMPTY_FS,
-                    texts, rec])
+                    0, -1, sv, wants, texts, rec])
                 continue
             m = end_tag(buf, pos)
             if m is not None:
@@ -515,15 +487,7 @@ def _scanner(plan, runs, *, as_bytes):
                             (top[2],)))
                 texts = top[9]
                 if texts is not None:
-                    psv = stack[-1][7]
-                    if psv is not None:
-                        psv._add_elem_child(top[1], "".join(texts))
-                sv = top[7]
-                if sv is not None:
-                    region.append(sv)
-                    open_relevant -= 1
-                    if not open_relevant and len(region) >= FLUSH_BATCH:
-                        flush_region()
+                    stack[-1][7]._add_elem_child(top[1], "".join(texts))
                 pos = m.end()
                 continue
             i = find(LT, pos)
@@ -610,8 +574,6 @@ def _scanner(plan, runs, *, as_bytes):
         if stack:
             raise XMLSyntaxError(
                 f"unclosed element <{stack[-1][1]}> at end of input")
-        if region:
-            flush_region()
         rs.next_vid = next_vid
         rs.n_skipped = n_skipped
         return rs.finish()
@@ -619,12 +581,89 @@ def _scanner(plan, runs, *, as_bytes):
     return scan
 
 
+class _TextChild:
+    """Stand-in for a text-carrying child vertex: just its ``text``."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+class StreamVertex:
+    """A retained element: what the evaluator-path constraints read.
+
+    Quacks like :class:`~repro.datamodel.tree.Vertex` for exactly the
+    surface the constraint evaluators touch: ``vid``, ``label``,
+    ``attr_or_empty``, ``children_labeled`` (sub-element fields only),
+    and ``int(v)`` for violation reporting.  It takes the start tag's
+    whole attribute map, valued as the batch parser values it: an
+    attribute in ``split`` (declared set-valued on the label) splits on
+    whitespace, any other is one value.
+    """
+
+    __slots__ = ("vid", "label", "_attributes", "_elem_children")
+
+    def __init__(self, vid: int, label: str, amap: dict[str, str],
+                 split: frozenset[str]):
+        self.vid = vid
+        self.label = label
+        self._attributes = {
+            name: frozenset(val.split()) if name in split
+            else frozenset((val,)) for name, val in amap.items()}
+        self._elem_children: dict[str, list[_TextChild]] | None = None
+
+    def attr_or_empty(self, name: str) -> frozenset[str]:
+        return self._attributes.get(name, _EMPTY_FS)
+
+    def children_labeled(self, label: str) -> list[_TextChild]:
+        if self._elem_children is None:
+            return []
+        return self._elem_children.get(label, [])
+
+    def _add_elem_child(self, label: str, text: str) -> None:
+        if self._elem_children is None:
+            self._elem_children = {}
+        self._elem_children.setdefault(label, []).append(_TextChild(text))
+
+    def __int__(self) -> int:
+        return self.vid
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return f"<StreamVertex {self.vid} {self.label!r}>"
+
+
+class StreamIndex:
+    """The retained labels' extensions, for the evaluators' ``full()``.
+
+    Supports exactly the evaluator-facing surface: ``extension``, in
+    vid (= document) order like the tree-wide
+    :class:`~repro.datamodel.indexes.AttributeIndex`, because the
+    scanner appends each vertex at its start tag.  No evaluator the
+    single pass runs reads ``id_owners``: an ``IDConstraint`` is a
+    kernel, which keeps its own owner table
+    (:class:`~repro.codegen.kernels.IDOwners`), or statically violated.
+    """
+
+    __slots__ = ("_ext",)
+
+    def __init__(self):
+        self._ext: dict[str, list[StreamVertex]] = {}
+
+    def index_vertex(self, v: StreamVertex) -> None:
+        """Append ``v`` to its label's extension."""
+        self._ext.setdefault(v.label, []).append(v)
+
+    def extension(self, label: str) -> list[StreamVertex]:
+        return list(self._ext.get(label, ()))
+
+
 class RunState:
     """Mutable constraint-side state of one scanner pass: the kernel
-    and evaluator feeds and report assembly.
+    feeds, the retained vertices and report assembly.
 
     The scanner owns parsing, structural checks and vertex construction.
-    Σ is split once per schema (:attr:`~repro.stream.plan.StreamPlan.kernels`):
+    Σ is split once per schema (:attr:`~repro.codegen.plan.StreamPlan.kernels`):
 
     - **kernels** (:mod:`repro.codegen.kernels`) check the
       attribute-only ``L``/``L_u`` keys and foreign keys, ID
@@ -635,13 +674,13 @@ class RunState:
       fed at every ID-bearing start tag, serves every ID kernel.
       Foreign keys and ID clashes resolve here, in :meth:`finish`.
     - **evaluators** check the rest — §3.4 sub-element fields,
-      inverses and static violations —
-      through the :class:`~repro.constraints.evaluators.ConstraintEvaluator`
-      machinery.  The scanner appends closed vertices of the labels
-      they read (:attr:`~repro.stream.plan.StreamPlan.relevant`) to
-      :attr:`region` and calls :meth:`flush_region` once a batch of
-      :data:`FLUSH_BATCH` has gathered while no such element is open,
-      and once more before :meth:`finish`.
+      inverses and static violations — with the calls the batch
+      checker makes: one ``full()`` per document
+      (:meth:`flush_region`), then ``emit()``.  The scanner appends
+      each element of a label they read
+      (:attr:`~repro.codegen.plan.StreamPlan.relevant`) to
+      :attr:`index` at its start tag, so ``full()`` reads the
+      extensions batch reads.
 
     The report is byte-identical (``to_json()``) to the batch
     ``validate(parse_document(text, S), dtd)`` because:
@@ -660,31 +699,23 @@ class RunState:
     - **kernels** see start tags in vid order, so their groups,
       sources and ID owners are already in the order a batch
       ``full()`` emits them;
-    - **evaluators** see closed elements through the same ``add()``
-      path as an incremental insertion, in strict document (pre-)order:
-      the region drains only while no retained element is open, and
-      sorted by vid, so every vertex opened later has a larger vid than
-      anything flushed and each evaluator sees the vertex sequence a
-      batch ``full()`` pass would (dict insertion orders — and so
-      emission orders — cannot drift).  Inverse evaluators, whose
-      violated-pair order is a function of the whole extension, and
-      static (schema-level) violations are deferred to one
-      end-of-document ``full()`` over the retained vertices;
+    - **evaluators** run batch's own ``full()`` over extensions that
+      list the vertices batch's index lists, in the same order, with
+      the same attribute values and sub-element texts;
     - :meth:`finish` emits every constraint at its Σ position.
 
-    With observability on, every constraint's counters are read off its
-    finished state (``settled_counts``), so they equal batch's even
-    where document order is not ``full()``'s order; neither kernels nor
-    evaluators count while being fed.
+    With observability on, an evaluator counts during its ``full()``
+    pass, as batch's does, and a kernel's counters are read off its
+    finished state (``settled_counts``); kernels count nothing while
+    being fed.
 
     Peak memory is O(open-element depth + kernel rows + retained
     vertices + evaluator residual state): an element is retained only
     when an evaluator reads its label.
     """
 
-    __slots__ = ("plan", "obs", "structural", "region", "index",
-                 "evaluators", "dispatch", "feeds", "next_vid",
-                 "n_skipped")
+    __slots__ = ("plan", "obs", "structural", "index", "evaluators",
+                 "feeds", "next_vid", "n_skipped")
 
     def __init__(self, plan, obs=None):
         self.plan = plan
@@ -708,63 +739,47 @@ class RunState:
         if owners is not None:
             for label, feed in owners.feeds.items():
                 feeds[label] = (feed, *feeds.get(label, ()))
-        self.dispatch = {
-            label: tuple(evaluators[i] for i in lp.evaluators)
-            for label, lp in plan.labels.items() if lp.evaluators}
-        self.region: list = []
         self.next_vid = 0
         #: elements admitted through the Σ-irrelevant run fast path
         #: (never individually materialized)
         self.n_skipped = 0
 
     def flush_region(self) -> None:
-        """Feed buffered closed vertices to the evaluators in vid order
-        (drained only while no retained element is open, so the
-        concatenation of flushes is globally vid-sorted)."""
-        region = self.region
-        if len(region) > 1:
-            region.sort(key=_VID)
-        index_vertex = self.index.index_vertex
-        dispatch = self.dispatch
-        for v in region:
-            index_vertex(v)
-            interested = dispatch.get(v.label)
-            if interested is not None:
-                for ev in interested:
-                    ev.add(v)
-        region.clear()
+        """Run every evaluator-path constraint's ``full()`` pass over the
+        retained vertices, once, when the document is done."""
+        for ev, spec in zip(self.evaluators, self.plan.kernels):
+            if spec is None:
+                ev.full()
 
     def finish(self) -> ValidationReport:
         """Assemble the report: structural violations in batch sweep
         order, then every constraint's emit at its Σ position, each
-        under a ``codegen.emit`` span (deferred evaluators run their
-        end-of-document ``full()`` first)."""
+        under a ``codegen.emit`` span.  The evaluators' ``full()`` pass
+        runs first, after the counters are bound, when any of them reads
+        an element (never when Σ is all kernels)."""
         obs = self.obs
         if obs.enabled:
             self._publish(obs)
+        plan = self.plan
+        if plan.relevant:
+            self.flush_region()
         report = ValidationReport()
         self.structural.sort(key=itemgetter(0))
         for _key, code, message, vids in self.structural:
             report.add(code, message, vertices=vids)
-        plan = self.plan
-        deferred = plan.deferred
         span = obs.tracer.span
-        for i, ev in enumerate(self.evaluators):
-            with span("codegen.emit", constraint=plan.names[i]):
-                if i in deferred:
-                    ev.full()
+        for name, ev in zip(plan.names, self.evaluators):
+            with span("codegen.emit", constraint=name):
                 ev.emit(report)
         return report
 
     def _publish(self, obs) -> None:
-        """Bind every constraint's counters before the emits (which
-        count violations, as do the deferred ``full()`` passes their
-        vertices, hits and misses), add the settled counts of the
-        others, and count elements."""
-        deferred = self.plan.deferred
-        for i, ev in enumerate(self.evaluators):
+        """Bind every constraint's counters (an evaluator's ``full()``
+        and every emit count into them), add the kernels' settled
+        counts, and count elements."""
+        for ev, spec in zip(self.evaluators, self.plan.kernels):
             ev.attach_obs(obs)
-            if i not in deferred:
+            if spec is not None:
                 visited, hits, misses = ev.settled_counts()
                 ev.c_visited.add(visited)
                 ev.c_hits.add(hits)
@@ -777,6 +792,6 @@ class RunState:
                     "sigma-irrelevant run fast path").add(self.n_skipped)
         for label, members in self.index._ext.items():
             obs.counter("codegen_dispatch_vertices", {"label": label},
-                        help="closed vertices dispatched to "
-                        "constraint evaluators by the codegen "
-                        "engine, per label").add(len(members))
+                        help="retained vertices the codegen engine's "
+                        "constraint evaluators read, per "
+                        "label").add(len(members))

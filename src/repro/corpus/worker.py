@@ -43,7 +43,7 @@ def init_worker(dtd: DTDC, collect_obs: bool, plan=None,
     """Install the schema (and obs policy) for this worker process.
 
     ``plan`` is the coordinator's compiled
-    :class:`~repro.stream.StreamPlan` when the run is single-pass —
+    :class:`~repro.codegen.StreamPlan` when the run is single-pass —
     shipped once per worker, which builds the codegen scanners from it
     here, once, for every :func:`stream_chunk` call to share (a serial
     run that calls this again with the same plan keeps them).  The

@@ -2,7 +2,7 @@
 
 The expensive per-schema artifacts — the parsed ``DTD^C``, its
 content-addressed fingerprint, and the compiled per-label
-:class:`~repro.stream.StreamPlan` — are built exactly once per process
+:class:`~repro.codegen.StreamPlan` — are built exactly once per process
 by the :class:`SchemaRegistry` and served hot by the
 :class:`ValidationServer` behind ``repro-xic serve``::
 

@@ -3,7 +3,7 @@
 A ``DTD^C`` is cheap to *hold* but expensive to *prepare*: parsing the
 schema text, fingerprinting it for the content-addressed
 :class:`~repro.corpus.ResultCache`, and compiling the per-label
-:class:`~repro.stream.StreamPlan` each cost real work that every
+:class:`~repro.codegen.StreamPlan` each cost real work that every
 validation entry point used to re-pay independently.  The
 :class:`SchemaRegistry` makes the compiled triple ``(DTDC, StreamPlan,
 fingerprint)`` a first-class, named, versioned object — the
@@ -47,7 +47,7 @@ from repro.errors import ReproError
 from repro.obs import NULL_OBS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.stream.plan import StreamPlan
+    from repro.codegen.plan import StreamPlan
     from repro.validator import Validator
 
 __all__ = ["SchemaHandle", "SchemaNotFound", "SchemaRegistry", "as_handle"]
@@ -116,11 +116,11 @@ class SchemaHandle:
 
     @property
     def plan(self) -> "StreamPlan":
-        """The compiled :class:`~repro.stream.StreamPlan`; compiled once
+        """The compiled :class:`~repro.codegen.StreamPlan`; compiled once
         per handle (the ``registry_schema_compilations`` counter is the
         regression tripwire for accidental recompiles)."""
         if self._plan is None:
-            from repro.stream.plan import compile_plan
+            from repro.codegen.plan import compile_plan
 
             with self._lock:
                 if self._plan is None:

@@ -24,7 +24,7 @@ Since the :class:`~repro.server.registry.SchemaRegistry` became the
 public-API pivot, the facade follows the uniform
 ``schema: DTDC | SchemaHandle`` contract: it wraps a bare ``DTDC`` in a
 process-wide memoized handle (so the compiled
-:class:`~repro.stream.StreamPlan` and schema fingerprint are built once
+:class:`~repro.codegen.StreamPlan` and schema fingerprint are built once
 per schema per process, shared with corpus and server call sites), or
 binds directly to a registry entry::
 

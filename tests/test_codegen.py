@@ -11,13 +11,12 @@ whose DFA is exponential validate like any other.
 import pytest
 
 from repro import engines
-from repro.codegen import CodegenValidator, compile_schema
+from repro.codegen import CodegenValidator, compile_plan, compile_schema
 from repro.dtd.dtdc import DTDC
 from repro.dtd.structure import DTDStructure
 from repro.dtd.validate import validate
 from repro.obs import Observability
 from repro.server.registry import as_handle
-from repro.stream import compile_plan
 from repro.workloads.book import book_document, book_dtdc
 from repro.xmlio.parser import parse_document
 from repro.xmlio.serializer import serialize

@@ -14,9 +14,10 @@ set-valued targets, multi-field keys with repeated rows,
 self-referencing foreign keys, constraints over an undeclared label,
 ID values clashing across two ID-bearing labels and interleaved in
 document order, and IDREFS sources — and mixes in evaluator-path
-constraints (a §3.4 sub-element key and ID reference, an inverse, an
-ID inverse, ``L_id`` constraints over a type with no ID attribute) at
-interleaved Σ positions.  Documents put sources before and after their
+constraints (§3.4 sub-element keys, over a declared and an undeclared
+label, a §3.4 ID reference, an inverse, an ID inverse, ``L_id``
+constraints over a type with no ID attribute) at interleaved Σ
+positions.  Documents put sources before and after their
 targets, and carry missing, undeclared, empty, entity-escaped
 (``&amp;``, ``&#x41;``), space-padded, repeated-token and non-ASCII
 values.  Codegen's report over text, bytes and a mapped file must
@@ -116,6 +117,7 @@ KERNEL_POOL = [
 #: constraints that stay on the evaluators
 EVALUATOR_POOL = [
     UnaryKey("a", F("t", is_element=True)),             # §3.4 field
+    UnaryKey("u", F("t", is_element=True)),             # undeclared owner
     Inverse("a", F("k"), F("s"), "b", F("k"), F("s")),
     IDInverse("a", F("s"), "b", F("refs")),
     IDForeignKey("a", F("t", is_element=True), "b"),    # §3.4 field
@@ -155,8 +157,8 @@ def _text(items) -> str:
     for label, attributes, child in items:
         attrs = "".join(f' {name}="{value}"'
                         for name, value in attributes.items())
-        if label == "a" and child is not None:
-            parts.append(f"<a{attrs}><t>{child}</t></a>")
+        if label in ("a", "u") and child is not None:
+            parts.append(f"<{label}{attrs}><t>{child}</t></{label}>")
         else:
             parts.append(f"<{label}{attrs}/>")
     parts.append("</db>")
@@ -254,6 +256,24 @@ class TestKernelOracle:
             ("key", "a[k, m] -> a", (2, 5, 8),
              "3 'a' elements share key value ('x', 'y')"),
         ]
+
+
+class TestUndeclaredOwner:
+    """A §3.4 sub-element key over an element type the schema does not
+    declare is checked like one over a declared type: the owner is
+    retained and its field's text captured."""
+
+    def test_text_bytes_and_path_match_batch(self):
+        dtd = DTDC(STRUCTURE, [UnaryKey("u", F("t", is_element=True))],
+                   check=False)
+        text = "<db><u><t>x</t></u><u><t>x</t></u></db>"
+        batch = validate(parse_document(text, STRUCTURE), dtd)
+        assert [(v.vertices, v.message) for v in batch.constraint] == [
+            ((1, 3), "2 'u' elements share key value ('x',)")]
+        cg = CodegenValidator(as_handle(dtd))
+        assert cg.validate_text(text).to_json() == batch.to_json()
+        assert cg.validate_bytes(text.encode()).to_json() == batch.to_json()
+        assert _path_json(cg, text) == batch.to_json()
 
 
 #: two ID values whose clashes interleave: A's owners are vids 1 and 4,

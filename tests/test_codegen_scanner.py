@@ -17,16 +17,18 @@ Properties of the one-regex-per-tag scanner in
   duplicate-attribute, stray-character and truncation edits; text
   after a Σ-irrelevant run reports its errors at the line the
   tokenizer does.
-- **Batched constraint feed.**  Closed vertices of the labels the
-  evaluator-path constraints read reach the evaluators in batches;
-  documents longer than one batch, retained elements nested in
-  retained ones (sub-element fields), and ``L_id`` documents whose
-  references precede their targets match batch, and with
-  observability on the per-constraint counters (vertices visited,
-  index hits and misses, violations) match batch's for kernels and
-  evaluators alike, and the per-label dispatch counters count the
-  document's retained elements.  A schema whose Σ is all kernels
-  (``L``/``L_u`` or ``L_id``) retains nothing.
+- **Retained-vertex feed.**  The elements the evaluator-path
+  constraints read are retained at their start tags and checked by one
+  ``full()`` pass per document (``RunState.flush_region``); documents
+  of hundreds of such elements, retained elements nested in retained
+  ones (sub-element fields, and a label nested in itself, so elements
+  close out of vid order), and ``L_id`` documents whose references
+  precede their targets match batch, and with observability on the
+  per-constraint counters (vertices visited, index hits and misses,
+  violations) match batch's for kernels and evaluators alike, and the
+  per-label dispatch counters count the document's retained elements.
+  A schema whose Σ is all kernels (``L``/``L_u`` or ``L_id``) retains
+  nothing and never runs the pass.
 - **Bounded runs.**  A Σ-irrelevant run longer than one run match is
   consumed in several, with the parent content model stepped across
   them.
@@ -42,10 +44,10 @@ from hypothesis import strategies as st
 
 from repro import engines
 from repro.codegen import CodegenValidator
-from repro.codegen.runtime import FLUSH_BATCH, RUN_MAX
+from repro.codegen.runtime import RUN_MAX
 from repro.constraints.base import Field
 from repro.constraints.lang_l import Key
-from repro.constraints.lang_lu import UnaryForeignKey, UnaryKey
+from repro.constraints.lang_lu import Inverse, UnaryForeignKey, UnaryKey
 from repro.dtd.dtdc import DTDC
 from repro.dtd.structure import DTDStructure
 from repro.dtd.validate import validate
@@ -421,12 +423,12 @@ class TestMutatedDocumentEquivalence:
         _assert_agree(_views(dtd, cg, text))
 
 
-# -- batched constraint feed ----------------------------------------------
+# -- retained-vertex feed -------------------------------------------------
 
 
 def _library_text(n_entries: int, n_refs: int) -> str:
-    """More Σ-relevant siblings than one flush batch, with one duplicate
-    isbn and one dangling ref."""
+    """Hundreds of keyed siblings, with one duplicate isbn and one
+    dangling ref."""
     parts = ["<library>"]
     parts += [f'\n  <entry isbn="i{i % (n_entries - 1)}" shelf="s{i % 3}"/>'
               for i in range(n_entries)]
@@ -474,8 +476,8 @@ def _nested_text(n_shelves: int, per_shelf: int) -> str:
 
 
 def _registry_text(n_persons: int, n_mentions: int) -> str:
-    """More ``L_id`` siblings than one flush batch (both constraints
-    are kernels), with one shared pid and one ghost mention."""
+    """Hundreds of ``L_id`` siblings (both constraints are kernels),
+    with one shared pid and one ghost mention."""
     parts = ["<registry>"]
     parts += [f'<person pid="p{i % (n_persons - 1)}"/>'
               for i in range(n_persons)]
@@ -504,13 +506,61 @@ def _roster_text(n_entries: int) -> str:
         for i in range(n_entries)) + "</roster>"
 
 
+def _outline_dtdc() -> DTDC:
+    """``sec`` elements nested in ``sec`` elements, keyed by their
+    ``head`` child (§3.4) and paired with ``cite`` elements by an
+    inverse; the inverse's keys are kernels."""
+    s = DTDStructure("doc")
+    s.define_element("doc", "(sec*, cite*)")
+    s.define_element("sec", "(head, sec*)")
+    s.define_element("head", "(#PCDATA)")
+    s.define_element("cite", "EMPTY")
+    s.define_attribute("sec", "sid")
+    s.define_attribute("sec", "cites", set_valued=True)
+    s.define_attribute("cite", "cid")
+    s.define_attribute("cite", "secs", set_valued=True)
+    s.check()
+    return DTDC(s, [
+        UnaryKey("sec", Field("head", is_element=True)),
+        UnaryKey("sec", Field("sid")),
+        UnaryKey("cite", Field("cid")),
+        Inverse("sec", Field("sid"), Field("cites"),
+                "cite", Field("cid"), Field("secs")),
+    ])
+
+
+def _outline_text(n_trees: int, depth: int) -> str:
+    """``n_trees`` binary trees of sections ``depth`` deep, so a section
+    closes after every section it holds, then one ``cite`` per section
+    citing it back; headings repeat every nine sections, and section 5
+    does not cite its ``cite``."""
+    parts = ["<doc>"]
+    n = 0
+
+    def section(level: int) -> None:
+        nonlocal n
+        i, n = n, n + 1
+        cites = "" if i == 5 else f"c{i}"
+        parts.append(f'<sec sid="s{i}" cites="{cites}">'
+                     f"<head>h{i % 9}</head>")
+        if level < depth:
+            section(level + 1)
+            section(level + 1)
+        parts.append("</sec>")
+
+    for _ in range(n_trees):
+        section(1)
+    parts += [f'<cite cid="c{i}" secs="s{i}"/>' for i in range(n)]
+    parts.append("</doc>")
+    return "".join(parts)
+
+
 BATCH_CASES = {
-    "siblings": (library_schema, _library_text(2 * FLUSH_BATCH + 7,
-                                               FLUSH_BATCH + 3)),
-    "roster": (_roster_dtdc, _roster_text(2 * FLUSH_BATCH + 7)),
-    "nested": (_nested_dtdc, _nested_text(6, FLUSH_BATCH // 2 + 5)),
-    "registry": (registry_schema, _registry_text(FLUSH_BATCH + 9,
-                                                 FLUSH_BATCH + 5)),
+    "siblings": (library_schema, _library_text(519, 259)),
+    "roster": (_roster_dtdc, _roster_text(519)),
+    "nested": (_nested_dtdc, _nested_text(6, 133)),
+    "self-nested": (_outline_dtdc, _outline_text(3, 4)),
+    "registry": (registry_schema, _registry_text(265, 261)),
     # a mention before the person it names, and a pid owned twice
     # after it: add() order is not full()'s, yet the counters are
     "registry-forward": (registry_schema, (
@@ -530,25 +580,40 @@ class TestFlushBatches:
         _assert_agree(views)
         assert '"ok": false' in views["batch"][1]
 
-    def test_one_flush_per_batch(self, monkeypatch):
-        """A document of ``k`` retained siblings, none nested, is fed
-        in ``ceil(k / FLUSH_BATCH)`` flushes, the last one before
-        ``finish``."""
-        from repro.codegen.runtime import RunState
+    @pytest.mark.parametrize("make, text, retained", [
+        (_roster_dtdc, _roster_text(519), 519),
+        (library_schema, _library_text(519, 259), 0),
+        (registry_schema, _registry_text(519, 259), 0)],
+        ids=["roster", "library", "registry"])
+    def test_one_flush_per_document(self, monkeypatch, make, text,
+                                    retained):
+        """An evaluator-path Σ runs its ``full()`` pass
+        (``flush_region``) exactly once per document, on text, bytes
+        and path input, over the elements it retained; the library and
+        registry Σ, all kernels, never run it and build no
+        ``StreamVertex``."""
+        import repro.codegen.runtime as runtime
 
-        calls = []
-        flush = RunState.flush_region
+        made, flushed = [], []
+        flush = runtime.RunState.flush_region
+
+        class Counted(runtime.StreamVertex):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made.append(args[0])
+                super().__init__(*args)
 
         def counted(self):
-            calls.append(len(self.region))
+            flushed.append(len(self.index.extension("entry")))
             flush(self)
 
-        monkeypatch.setattr(RunState, "flush_region", counted)
-        dtd = _roster_dtdc()
-        n = 2 * FLUSH_BATCH + 7 + FLUSH_BATCH + 3
-        CodegenValidator(as_handle(dtd)).validate_text(_roster_text(n))
-        assert calls == [FLUSH_BATCH] * (n // FLUSH_BATCH) \
-            + [n % FLUSH_BATCH]
+        monkeypatch.setattr(runtime, "StreamVertex", Counted)
+        monkeypatch.setattr(runtime.RunState, "flush_region", counted)
+        dtd = make()
+        _assert_agree(_views(dtd, CodegenValidator(as_handle(dtd)), text))
+        assert flushed == ([retained] * 3 if retained else [])
+        assert len(made) == 3 * retained
 
     def test_kernel_schema_retains_nothing(self, monkeypatch):
         """Every constraint of the library (``L``/``L_u``) and registry
@@ -567,11 +632,11 @@ class TestFlushBatches:
                 super().__init__(*args)
 
         def flush(self):
-            flushed.append(len(self.region))
+            flushed.append(self.next_vid)
 
         monkeypatch.setattr(runtime, "StreamVertex", Counted)
         monkeypatch.setattr(runtime.RunState, "flush_region", flush)
-        n, m = 2 * FLUSH_BATCH + 7, FLUSH_BATCH + 3
+        n, m = 519, 259
         for make, text in ((library_schema, _library_text(n, m)),
                            (registry_schema, _registry_text(n, m))):
             dtd = make()

@@ -1,5 +1,5 @@
-"""Tests for :mod:`repro.stream` — the compiled per-label plan — and
-the single-pass validation the codegen engine runs over it.
+"""Tests for :mod:`repro.codegen.plan` — the compiled per-label plan —
+and the single-pass validation the codegen engine runs over it.
 
 The load-bearing promise is *byte identity*: for every document, the
 single pass (``CodegenValidator(...).validate_text(text).to_json()``)
@@ -15,12 +15,13 @@ import pickle
 import pytest
 
 from repro import Validator
-from repro.codegen import CodegenValidator, compile_schema
+from repro.codegen import (
+    CodegenValidator, StreamPlan, compile_plan, compile_schema,
+)
 from repro.constraints.lang_lid import IDConstraint
 from repro.dtd.validate import validate
 from repro.errors import XMLSyntaxError
 from repro.server.registry import as_handle
-from repro.stream import StreamPlan, compile_plan
 from repro.xmlio import serialize
 from repro.xmlio.dtdparse import parse_dtdc
 from repro.xmlio.parser import parse_document
@@ -76,13 +77,13 @@ class TestStreamPlan:
                 (("isbn", False),))
         assert plan.feeds == {"entry": ((0, "source"), (1, "target")),
                               "ref": ((1, "source"),)}
-        assert all(lp.evaluators == () for lp in plan.labels.values())
+        assert plan.relevant == frozenset() and plan.elem_fields == {}
 
     def test_relevant_labels(self, lib):
         # labels only kernels read are not retained
         assert compile_plan(lib).relevant == frozenset()
         # a §3.4 sub-element key stays on its evaluator: its label is
-        # retained, with the attributes evaluators read
+        # retained, and its field's text captured
         with_note = parse_dtdc(LIB_SCHEMA.replace(
             "<!ELEMENT entry (#PCDATA)?>",
             "<!ELEMENT entry (note)>\n<!ELEMENT note (#PCDATA)>")
@@ -90,9 +91,8 @@ class TestStreamPlan:
         plan = compile_plan(with_note)
         assert [spec is None for spec in plan.kernels] == [False, False, True]
         assert plan.relevant == {"entry"}
-        assert plan.labels["entry"].evaluators == (2,)
-        assert plan.labels["entry"].elem_fields == {"note"}
-        assert plan.labels["entry"].watched == frozenset()
+        assert plan.elem_fields == {"entry": {"note"}}
+        assert plan.text_fields == {"note"}
 
     def test_lid_kernels(self):
         """An ``IDConstraint`` over a type with an ID attribute is an
@@ -115,13 +115,11 @@ class TestStreamPlan:
                 refs.target_fields, refs.set_valued) \
             == ("refs", "mention", (("who", False),), "person",
                 (("pid", False),), False)
-        assert static is None and plan.deferred == {2}
+        assert static is None
         assert plan.id_owners == {"person": "pid"}
         assert plan.feeds == {"person": ((1, "target"),),
                               "mention": ((1, "source"),)}
-        assert plan.relevant == frozenset()
-        assert all(lp.watched == frozenset()
-                   for lp in plan.labels.values())
+        assert plan.relevant == frozenset() and plan.elem_fields == {}
         clone = pickle.loads(pickle.dumps(plan))
         text = ('<registry><person pid="a"/><person pid="a"/>'
                 '<mention who="b"/></registry>')
