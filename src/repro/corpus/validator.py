@@ -12,6 +12,12 @@ per-worker observability exports into one report.
 ``jobs=1`` bypasses ``multiprocessing`` entirely but runs the *same*
 worker functions in-process, so serial and pooled runs produce
 byte-identical verdicts (see ``CorpusReport.verdicts_json``).
+
+The key step (:func:`prepare_entries`) and the verdict write-through
+(:func:`to_verdict`) are module-level because the sharded coordinator
+(:mod:`repro.shard.coordinator`) runs the same two functions around its
+nodes: one verdict shape travels from worker to coordinator whether the
+worker is a pool process or a shard node.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from repro import engines as _engines
 from repro.corpus.cache import ResultCache, result_key, result_key_bytes
 from repro.corpus.report import CorpusReport, DocumentVerdict
 from repro.corpus.worker import init_worker, stream_chunk, validate_chunk
-from repro.obs import TraceContext, activate, current_context
+from repro.obs import NULL_OBS, TraceContext, activate, current_context
 from repro.datamodel.tree import DataTree
 from repro.dtd.dtdc import DTDC
 from repro.dtd.validate import ValidationReport
@@ -34,7 +40,8 @@ from repro.server.registry import SchemaHandle, as_handle
 from repro.xmlio import decode_document
 from repro.xmlio.serializer import serialize
 
-__all__ = ["CorpusValidator", "normalize_docs", "resolve_jobs"]
+__all__ = ["CorpusValidator", "normalize_docs", "prepare_entries",
+           "resolve_engine", "resolve_jobs", "to_verdict"]
 
 #: One corpus document, as accepted by :meth:`CorpusValidator.validate`:
 #: a filesystem path, an in-memory tree, or an explicit (id, xml) pair.
@@ -89,6 +96,73 @@ def normalize_docs(docs: Iterable[CorpusDoc]
     return entries
 
 
+def resolve_engine(name: str) -> str:
+    """The per-document backend a corpus run (or a shard node) uses for
+    the engine ``name``: ``"batch"`` or ``"codegen"`` (``"auto"`` runs
+    as codegen); any other name is a :class:`ReproError`."""
+    engine = _engines.resolve(name)
+    if engine not in ("batch", "codegen"):
+        raise ReproError(
+            f"unknown engine {engine!r} for corpus runs "
+            "(known: auto, batch, codegen)")
+    return engine
+
+
+def prepare_entries(entries: "list[tuple[str, str, str]]",
+                    fingerprint: str, *, decode: bool, key_paths: bool
+                    ) -> "list[Optional[str]]":
+    """Resolve cache keys; returns one key (or None) per entry.
+
+    Text inputs are keyed on their UTF-8 bytes; a text holding a lone
+    surrogate has none, so its entry is rewritten to
+    ``("error", message)`` with an empty key.  A path input is read
+    when ``decode`` or ``key_paths`` is set, and keyed on its raw
+    bytes.  With ``decode`` its entry is rewritten to ``("text", ...)``
+    from the same read, or to ``("error", message)`` when its bytes are
+    not UTF-8 (the document's verdict is then that error).  A path that
+    is not read stays on disk with key None: the worker that reads it
+    hashes the bytes it reads anyway, and its verdict carries the key.
+    """
+    keys: list[Optional[str]] = []
+    for i, (doc_id, kind, value) in enumerate(entries):
+        if kind == "text":
+            try:
+                keys.append(result_key(value, fingerprint))
+            except XMLSyntaxError as exc:
+                keys.append("")
+                entries[i] = (doc_id, "error", str(exc))
+        elif not (decode or key_paths):
+            keys.append(None)
+        else:
+            with open(value, "rb") as handle:
+                data = handle.read()
+            keys.append(result_key_bytes(data, fingerprint))
+            if decode:
+                try:
+                    entries[i] = (doc_id, "text", decode_document(data))
+                except XMLSyntaxError as exc:
+                    entries[i] = (doc_id, "error", str(exc))
+    return keys
+
+
+def to_verdict(key: Optional[str], verdict_dict: dict,
+               cache: Optional[ResultCache]) -> DocumentVerdict:
+    """Rebuild one worker verdict dict (a pool chunk's or a shard
+    node's) and write a clean or invalid result, never an error,
+    through ``cache``.  ``key`` None takes the key the worker hashed
+    from the bytes it read."""
+    doc_id = verdict_dict["doc"]
+    if key is None:
+        key = verdict_dict.get("key") or ""
+    if verdict_dict["error"] is not None:
+        return DocumentVerdict(doc_id, key, False,
+                               error=verdict_dict["error"])
+    report = ValidationReport.from_dict(verdict_dict["report"])
+    if cache is not None:
+        cache.put(key, report)
+    return DocumentVerdict(doc_id, key, report.ok, list(report.violations))
+
+
 class CorpusValidator:
     """Validate an iterable of documents against one ``DTD^C``.
 
@@ -139,75 +213,11 @@ class CorpusValidator:
             self.cache = cache
         else:
             self.cache = ResultCache(directory=cache)
-        self.obs = obs
-        engine = _engines.resolve(engine or "batch")
-        if engine not in ("batch", "codegen"):
-            raise ReproError(
-                f"unknown engine {engine!r} for corpus runs "
-                "(known: auto, batch, codegen)")
+        self.obs = obs or NULL_OBS
         #: the resolved per-document backend, "batch" or "codegen"
         #: ("auto" never survives construction)
-        self.engine = engine
+        self.engine = resolve_engine(engine or "batch")
         self.fingerprint = self.handle.fingerprint
-        #: per-document ``L_id`` merge aggregates of the most recent
-        #: :meth:`validate` run, in verdict order: the
-        #: ``{position: aggregate}`` dict the worker took from the run
-        #: that produced the verdict, or None for a document answered
-        #: from the cache, one that failed to parse, or any document
-        #: when Σ has no merge-class constraints
-        self.last_aggregates: "list[dict | None]" = []
-
-    # -- input normalization -----------------------------------------
-
-    def _normalize(self, docs: Iterable[CorpusDoc]
-                   ) -> "list[tuple[str, str, str]]":
-        """Each document as a ``(doc_id, kind, value)`` triple, where
-        ``kind`` is ``"text"`` (``value`` is XML text) or ``"path"``
-        (``value`` is a filesystem path, not yet read).
-
-        Delegates to the module-level :func:`normalize_docs`, which the
-        sharded coordinator shares.
-        """
-        return normalize_docs(docs)
-
-    def _prepare(self, entries: "list[tuple[str, str, str]]"
-                 ) -> "list[Optional[str]]":
-        """Resolve cache keys; returns one key (or None) per entry.
-
-        Text inputs are keyed on their UTF-8 bytes; a text holding a
-        lone surrogate has none, so its entry is rewritten to
-        ``("error", message)`` with an empty key.  Path inputs are
-        keyed on raw file bytes.  On the batch path the
-        coordinator needs the decoded text anyway (workers receive
-        text), so the entry is rewritten to ``("text", ...)`` from the
-        same read, or to ``("error", message)`` when its bytes are not
-        UTF-8 (the document's verdict is then that error).  On the
-        single-pass path the file stays on disk for the worker to read;
-        the coordinator only reads it when a cache needs the key up
-        front — without a cache the key comes back from the worker,
-        which hashes the bytes it reads anyway.
-        """
-        keys: list[Optional[str]] = []
-        for i, (doc_id, kind, value) in enumerate(entries):
-            if kind == "text":
-                try:
-                    keys.append(result_key(value, self.fingerprint))
-                except XMLSyntaxError as exc:
-                    keys.append("")
-                    entries[i] = (doc_id, "error", str(exc))
-            elif self.engine == "codegen" and self.cache is None:
-                keys.append(None)
-            else:
-                with open(value, "rb") as handle:
-                    data = handle.read()
-                keys.append(result_key_bytes(data, self.fingerprint))
-                if self.engine == "batch":
-                    try:
-                        entries[i] = (doc_id, "text",
-                                      decode_document(data))
-                    except XMLSyntaxError as exc:
-                        entries[i] = (doc_id, "error", str(exc))
-        return keys
 
     # -- chunking ----------------------------------------------------
 
@@ -232,92 +242,74 @@ class CorpusValidator:
         worker — so pooled chunk spans come back with the run's
         trace_id and re-parent under it on merge.
         """
-        if self.obs and self.obs.tracer.enabled \
-                and current_context() is None:
+        if self.obs.tracer.enabled and current_context() is None:
             with activate(TraceContext.new()):
-                return self._validate_inner(docs)
-        return self._validate_inner(docs)
+                return self._run(docs)
+        return self._run(docs)
 
-    def _validate_inner(self, docs: Iterable[CorpusDoc]) -> CorpusReport:
+    def _run(self, docs: Iterable[CorpusDoc]) -> CorpusReport:
         phases: dict[str, float] = {}
         t_start = time.perf_counter()
-
-        run_span = self.obs.span("corpus.validate", jobs=self.jobs) \
-            if self.obs else None
-        if run_span:
-            run_span.__enter__()
-        try:
-            return self._run(docs, phases, t_start, run_span)
-        finally:
-            if run_span:
-                run_span.__exit__(None, None, None)
-
-    def _run(self, docs: Iterable[CorpusDoc], phases: "dict[str, float]",
-             t_start: float, run_span) -> CorpusReport:
-        entries = self._normalize(docs)
-        keys = self._prepare(entries)
-        phases["prepare"] = time.perf_counter() - t_start
-
-        # Cache lookups happen in the coordinator so a pooled run never
-        # ships an already-known document to a worker.
-        t0 = time.perf_counter()
-        verdicts: list[Optional[DocumentVerdict]] = [None] * len(entries)
-        pending: list[int] = []
-        for i, (doc_id, kind, value) in enumerate(entries):
-            if kind == "error":
-                verdicts[i] = DocumentVerdict(doc_id, keys[i], False,
-                                              error=value)
-                continue
-            cached = self.cache.get(keys[i]) \
-                if self.cache is not None else None
-            if cached is not None:
-                verdicts[i] = DocumentVerdict(
-                    doc_id, keys[i], cached.ok,
-                    list(cached.violations), cached=True)
-            else:
-                pending.append(i)
-        phases["cache"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        run_ctx = run_span.context() if run_span is not None else None
-        payloads = self._run_pending(entries, pending, run_ctx)
-        phases["validate"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
         obs = self.obs
-        span = obs.span("corpus.merge") if obs else None
-        if span:
-            span.__enter__()
-        try:
-            flat: list[dict] = []
-            for payload in payloads:
-                flat.extend(payload["verdicts"])
-                if obs:
-                    obs.absorb(payload)
-            aggregates: "list[dict | None]" = [None] * len(entries)
-            for i, verdict_dict in zip(pending, flat):
-                verdicts[i] = self._to_verdict(keys[i], verdict_dict)
-                aggregates[i] = verdict_dict.get("aggregates")
-            self.last_aggregates = aggregates
-        finally:
-            if span:
-                span.__exit__(None, None, None)
-        phases["merge"] = time.perf_counter() - t0
-        phases["total"] = time.perf_counter() - t_start
+        with obs.span("corpus.validate", jobs=self.jobs) as run_span:
+            entries = normalize_docs(docs)
+            keys = prepare_entries(
+                entries, self.fingerprint,
+                decode=self.engine == "batch",
+                key_paths=self.cache is not None)
+            phases["prepare"] = time.perf_counter() - t_start
 
-        done = [v for v in verdicts if v is not None]
-        if obs and obs.metrics.enabled:
-            obs.counter("corpus_documents_validated",
-                        help="documents processed by corpus runs"
-                        ).add(len(done))
-            obs.counter("corpus_cache_hits",
-                        help="corpus documents answered from the "
-                        "result cache").add(sum(v.cached for v in done))
-        return CorpusReport(
-            done, jobs=self.jobs, phases=phases,
-            cache_stats=self.cache.stats()
-            if self.cache is not None else None,
-            obs=obs or None)
+            # Cache lookups happen in the coordinator so a pooled run
+            # never ships an already-known document to a worker.
+            t0 = time.perf_counter()
+            verdicts: list[Optional[DocumentVerdict]] = \
+                [None] * len(entries)
+            pending: list[int] = []
+            for i, (doc_id, kind, value) in enumerate(entries):
+                if kind == "error":
+                    verdicts[i] = DocumentVerdict(doc_id, keys[i], False,
+                                                  error=value)
+                    continue
+                cached = self.cache.get(keys[i]) \
+                    if self.cache is not None else None
+                if cached is not None:
+                    verdicts[i] = DocumentVerdict(
+                        doc_id, keys[i], cached.ok,
+                        list(cached.violations), cached=True)
+                else:
+                    pending.append(i)
+            phases["cache"] = time.perf_counter() - t0
+
+            t0 = time.perf_counter()
+            payloads = self._run_pending(entries, pending,
+                                         run_span.context())
+            phases["validate"] = time.perf_counter() - t0
+
+            t0 = time.perf_counter()
+            with obs.span("corpus.merge"):
+                flat: list[dict] = []
+                for payload in payloads:
+                    flat.extend(payload["verdicts"])
+                    obs.absorb(payload)
+                for i, verdict_dict in zip(pending, flat):
+                    verdicts[i] = to_verdict(keys[i], verdict_dict,
+                                             self.cache)
+            phases["merge"] = time.perf_counter() - t0
+            phases["total"] = time.perf_counter() - t_start
+
+            done = [v for v in verdicts if v is not None]
+            if obs.metrics.enabled:
+                obs.counter("corpus_documents_validated",
+                            help="documents processed by corpus runs"
+                            ).add(len(done))
+                obs.counter("corpus_cache_hits",
+                            help="corpus documents answered from the "
+                            "result cache").add(sum(v.cached for v in done))
+            return CorpusReport(
+                done, jobs=self.jobs, phases=phases,
+                cache_stats=self.cache.stats()
+                if self.cache is not None else None,
+                obs=obs or None)
 
     def _run_pending(self, entries: "list[tuple[str, str, str]]",
                      pending: "list[int]",
@@ -337,8 +329,8 @@ class CorpusValidator:
             # forked one inherits the compiled regexes and matchers
             plan = self.handle.codegen.plan
         else:
-            # the batch worker takes (doc_id, xml_text) pairs; _prepare
-            # already rewrote every path entry to its text
+            # the batch worker takes (doc_id, xml_text) pairs;
+            # prepare_entries already rewrote every path entry to text
             work = [(entries[i][0], entries[i][2]) for i in pending]
             worker = validate_chunk
             plan = None
@@ -358,20 +350,6 @@ class CorpusValidator:
                 initializer=init_worker,
                 initargs=initargs) as pool:
             return pool.map(worker, chunks)
-
-    def _to_verdict(self, key: Optional[str],
-                    verdict_dict: dict) -> DocumentVerdict:
-        doc_id = verdict_dict["doc"]
-        if key is None:  # the single-pass worker hashed the bytes it read
-            key = verdict_dict.get("key") or ""
-        if verdict_dict["error"] is not None:
-            return DocumentVerdict(doc_id, key, False,
-                                   error=verdict_dict["error"])
-        report = ValidationReport.from_dict(verdict_dict["report"])
-        if self.cache is not None:
-            self.cache.put(key, report)
-        return DocumentVerdict(doc_id, key, report.ok,
-                               list(report.violations))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"<CorpusValidator root={self.dtd.structure.root!r} "

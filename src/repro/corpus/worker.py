@@ -1,27 +1,39 @@
-"""The per-worker half of corpus validation.
+"""The per-document half of corpus validation.
 
-Everything here is module-level so ``multiprocessing`` can pickle it by
-reference.  The pool initializer receives the ``DTD^C`` once per worker
-(pickled by ``multiprocessing`` itself), so Σ and the structure are
-materialized a single time per process; chunk tasks then carry only
-``(doc_id, xml_text)`` pairs (or ``(doc_id, kind, value)`` triples for
-the single-pass path) in and JSON-safe dicts out.
+One loop per engine validates a list of documents and returns one
+JSON-safe verdict dict per document, taking everything it needs as
+arguments: :func:`validate_docs` (parse, then validate) and
+:func:`stream_docs` (one codegen pass over text or raw file bytes).
+Two callers run them:
 
-``jobs=1`` runs the exact same two functions in-process, which is what
-makes the serial fallback bit-identical to the pooled path.
+- the process pool, through :func:`validate_chunk` and
+  :func:`stream_chunk`.  They read the per-process state
+  :func:`init_worker` installed, run the loop under a ``corpus.chunk``
+  span and export the chunk's metrics and spans for the coordinator to
+  merge.  Everything here is module-level so ``multiprocessing`` can
+  pickle it by reference; the initializer receives the ``DTD^C`` once
+  per worker, so chunk tasks carry only ``(doc_id, xml_text)`` pairs
+  (or ``(doc_id, kind, value)`` triples for the single-pass path) in
+  and JSON-safe dicts out.  ``jobs=1`` runs the exact same functions
+  in-process, which is what makes the serial fallback bit-identical to
+  the pooled path;
+- a shard node's ``check-shard`` (:mod:`repro.server.daemon`), with its
+  own schema handle, Σ's merge-class (``L_id``) positions and the
+  request's obs.
 
-When Σ has merge-class (``L_id``) constraints, each verdict of a
-validated document also carries its ``"aggregates"`` — the
+Given merge-class positions, the verdict of a validated document also
+carries its ``"aggregates"``: the
 :func:`~repro.shard.aggregates.aggregates_of` view of the evaluators
 (on the single-pass path: the constraint kernels and evaluators) that
-produced the verdict — so a shard node exports them without
-validating the document a second time.
+produced the verdict, so a node exports them without validating the
+document a second time.  The pool passes none, because nothing folds
+them.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.corpus.cache import result_key, result_key_bytes, \
     schema_fingerprint
@@ -31,10 +43,91 @@ from repro.errors import ReproError
 from repro.obs import Observability, activate, parse_traceparent
 from repro.xmlio.parser import parse_document
 
-__all__ = ["init_worker", "stream_chunk", "validate_chunk"]
+__all__ = ["init_worker", "stream_chunk", "stream_docs", "validate_chunk",
+           "validate_docs"]
 
 #: Per-process state seeded by :func:`init_worker`.
 _STATE: dict = {}
+
+
+def validate_docs(pairs: "list[tuple[str, str]]", dtd: DTDC,
+                  merge: Sequence[int] = (),
+                  obs: Optional[Observability] = None) -> "list[dict]":
+    """Parse and validate ``(doc_id, xml_text)`` pairs, in order.
+
+    One verdict dict per document: ``report`` is a
+    :meth:`~repro.constraints.violations.ViolationReport.to_dict`
+    payload, or ``None`` with ``error`` set when the document failed to
+    parse.  With ``merge`` positions, a validated document's verdict
+    also carries its ``"aggregates"`` from the parsed tree.
+    """
+    # repro.shard imports the corpus package, so every repro.shard
+    # import in this module is deferred to call time
+    from repro.shard.aggregates import extract_aggregates
+
+    verdicts = []
+    for doc_id, text in pairs:
+        try:
+            tree = parse_document(text, dtd.structure, obs=obs)
+            report = validate(tree, dtd, obs=obs)
+            verdict = {"doc": doc_id, "report": report.to_dict(),
+                       "error": None}
+            if merge:
+                verdict["aggregates"] = extract_aggregates(dtd, tree)
+            verdicts.append(verdict)
+        except ReproError as exc:
+            verdicts.append({"doc": doc_id, "report": None,
+                             "error": str(exc)})
+    return verdicts
+
+
+def stream_docs(entries: "list[tuple[str, str, str]]", compiled,
+                merge: Sequence[int] = (),
+                obs: Optional[Observability] = None) -> "list[dict]":
+    """Single-pass-validate ``(doc_id, kind, value)`` triples, in order,
+    with ``compiled``'s scanners (a
+    :class:`~repro.codegen.CompiledSchema`).
+
+    ``kind`` is ``"path"`` (the file is read here, hashing the raw
+    bytes for the cache key during the same read) or ``"text"``.  The
+    verdicts are :func:`validate_docs`'s, with one addition: each
+    carries its ``"key"`` so the coordinator can fill in keys it chose
+    not to compute up front.  Merge aggregates come from the finished
+    run that produced the verdict (``sv.last_run``): the ``L_id``
+    kernels' state, or an evaluator's where the constraint stays on one
+    (an ``IDInverse``, a sub-element reference).
+    """
+    from repro.codegen import CodegenValidator
+    from repro.shard.aggregates import aggregates_of
+
+    fingerprint: str = compiled.fingerprint
+    sv = CodegenValidator(compiled, obs=obs)
+    verdicts = []
+    for doc_id, kind, value in entries:
+        key: Optional[str] = None
+        try:
+            if kind == "path":
+                with open(value, "rb") as handle:
+                    data = handle.read()
+                key = result_key_bytes(data, fingerprint)
+                report = sv.validate_bytes(data)
+            else:
+                key = result_key(value, fingerprint)
+                report = sv.validate_text(value)
+            verdict = {"doc": doc_id, "key": key, "error": None}
+            if merge:
+                verdict["aggregates"] = aggregates_of(
+                    sv.last_run.evaluators, merge)
+            # the run outlives the call only to hand over its
+            # aggregates; free it before the report is serialized so
+            # it does not add to the worker's peak memory
+            sv.last_run = None
+            verdict["report"] = report.to_dict()
+            verdicts.append(verdict)
+        except ReproError as exc:
+            verdicts.append({"doc": doc_id, "key": key,
+                             "report": None, "error": str(exc)})
+    return verdicts
 
 
 def init_worker(dtd: DTDC, collect_obs: bool, plan=None,
@@ -48,138 +141,49 @@ def init_worker(dtd: DTDC, collect_obs: bool, plan=None,
     here, once, for every :func:`stream_chunk` call to share (a serial
     run that calls this again with the same plan keeps them).  The
     coordinator likewise ships its ``fingerprint`` so workers never
-    re-hash the schema (recomputed only when an old caller omits it),
-    and — when the run happens under a request — the ``traceparent``
-    wire form of its :class:`~repro.obs.TraceContext`, so every chunk
-    span this worker produces carries the originating request's
-    trace_id and re-parents under it on merge.
-
-    Whether verdicts carry merge aggregates follows Σ alone: the
-    merge-class positions (:func:`~repro.shard.locality.classify_sigma`)
-    are resolved here, once per worker.
+    re-hash the schema (recomputed only when a caller omits it), and —
+    when the run happens under a request — the ``traceparent`` wire
+    form of its :class:`~repro.obs.TraceContext`, so every chunk span
+    this worker produces carries the originating request's trace_id and
+    re-parents under it on merge.
     """
-    # repro.shard imports the corpus package, so every repro.shard
-    # import in this module is deferred to call time
-    from repro.shard.locality import Locality, classify_sigma
-
     _STATE["dtd"] = dtd
     _STATE["collect_obs"] = collect_obs
-    _STATE["fingerprint"] = fingerprint or schema_fingerprint(dtd)
     _STATE["traceparent"] = traceparent
-    _STATE["merge"] = classify_sigma(dtd)[Locality.MERGE]
     compiled = _STATE.get("compiled")
     if plan is not None and (compiled is None or compiled.plan is not plan):
         from repro.codegen import compile_schema
 
-        _STATE["compiled"] = compile_schema(plan, _STATE["fingerprint"])
+        _STATE["compiled"] = compile_schema(
+            plan, fingerprint or schema_fingerprint(dtd))
 
 
-def _chunk_obs(n_docs: int) -> "tuple[Optional[Observability], object]":
-    """The per-chunk obs handle and its open ``corpus.chunk`` span
-    (entered; the caller must exit).  ``(None, None)`` when the run
-    does not collect observability."""
+def _chunk(chunk: list, loop) -> dict:
+    """``loop(obs)`` over one pool chunk, packaged for the coordinator:
+    ``{"verdicts": [...], "metrics": [...], "spans": [...]}``.  When the
+    run collects observability, the loop records into a fresh handle
+    under a ``corpus.chunk`` span that joins the run's trace."""
     if not _STATE.get("collect_obs"):
-        return None, None
+        return {"verdicts": loop(None), "metrics": [], "spans": []}
     obs = Observability()
-    ctx = parse_traceparent(_STATE.get("traceparent"))
-    with activate(ctx):
-        # The span captures the ambient context while it is active;
-        # the context itself need not stay installed for the body.
-        span = obs.span("corpus.chunk", pid=os.getpid(), docs=n_docs)
-        span.__enter__()
-    return obs, span
+    with activate(parse_traceparent(_STATE.get("traceparent"))), \
+            obs.span("corpus.chunk", pid=os.getpid(), docs=len(chunk)):
+        verdicts = loop(obs)
+    return {"verdicts": verdicts, "metrics": obs.metrics.to_dicts(),
+            "spans": obs.tracer.to_dicts()}
 
 
 def validate_chunk(chunk: "list[tuple[str, str]]") -> dict:
-    """Validate a chunk of ``(doc_id, xml_text)`` pairs.
-
-    Returns ``{"verdicts": [...], "metrics": [...], "spans": [...]}``:
-    one verdict dict per document *in chunk order* (``report`` is a
-    :meth:`~repro.constraints.violations.ViolationReport.to_dict`
-    payload, or ``None`` with ``error`` set when the document failed to
-    parse; ``aggregates`` rides along when Σ has merge-class
-    constraints), plus this call's observability export for the
-    coordinator to merge.
-    """
-    from repro.shard.aggregates import extract_aggregates
-
+    """The pool entry of :func:`validate_docs`: one chunk of
+    ``(doc_id, xml_text)`` pairs, verdicts in chunk order plus this
+    call's observability export."""
     dtd: DTDC = _STATE["dtd"]
-    merge = _STATE["merge"]
-    obs, span = _chunk_obs(len(chunk))
-    verdicts = []
-    try:
-        for doc_id, text in chunk:
-            try:
-                tree = parse_document(text, dtd.structure, obs=obs)
-                report = validate(tree, dtd, obs=obs)
-                verdict = {"doc": doc_id, "report": report.to_dict(),
-                           "error": None}
-                if merge:
-                    verdict["aggregates"] = extract_aggregates(dtd, tree)
-                verdicts.append(verdict)
-            except ReproError as exc:
-                verdicts.append({"doc": doc_id, "report": None,
-                                 "error": str(exc)})
-    finally:
-        if span is not None:
-            span.__exit__(None, None, None)
-    return {
-        "verdicts": verdicts,
-        "metrics": obs.metrics.to_dicts() if obs else [],
-        "spans": obs.tracer.to_dicts() if obs else [],
-    }
+    return _chunk(chunk, lambda obs: validate_docs(chunk, dtd, obs=obs))
 
 
 def stream_chunk(chunk: "list[tuple[str, str, str]]") -> dict:
-    """Single-pass-validate a chunk of ``(doc_id, kind, value)`` triples.
-
-    ``kind`` is ``"path"`` (the worker reads the file itself, hashing the
-    raw bytes for the cache key during the same read) or ``"text"``.
-    The payload shape matches :func:`validate_chunk`, with one addition:
-    each verdict carries its ``"key"`` so the coordinator can fill in
-    keys it chose not to compute up front.  Merge aggregates come from
-    the finished run that produced the verdict (``sv.last_run``): the
-    ``L_id`` kernels' state, or an evaluator's where the constraint
-    stays on one (an ``IDInverse``, a sub-element reference).
-    """
-    from repro.codegen import CodegenValidator
-    from repro.shard.aggregates import aggregates_of
-
-    fingerprint: str = _STATE["fingerprint"]
-    merge = _STATE["merge"]
-    obs, span = _chunk_obs(len(chunk))
-    sv = CodegenValidator(_STATE["compiled"], obs=obs)
-    verdicts = []
-    try:
-        for doc_id, kind, value in chunk:
-            key: Optional[str] = None
-            try:
-                if kind == "path":
-                    with open(value, "rb") as handle:
-                        data = handle.read()
-                    key = result_key_bytes(data, fingerprint)
-                    report = sv.validate_bytes(data)
-                else:
-                    key = result_key(value, fingerprint)
-                    report = sv.validate_text(value)
-                verdict = {"doc": doc_id, "key": key, "error": None}
-                if merge:
-                    verdict["aggregates"] = aggregates_of(
-                        sv.last_run.evaluators, merge)
-                # the run outlives the call only to hand over its
-                # aggregates; free it before the report is serialized
-                # so it does not add to the worker's peak memory
-                sv.last_run = None
-                verdict["report"] = report.to_dict()
-                verdicts.append(verdict)
-            except ReproError as exc:
-                verdicts.append({"doc": doc_id, "key": key,
-                                 "report": None, "error": str(exc)})
-    finally:
-        if span is not None:
-            span.__exit__(None, None, None)
-    return {
-        "verdicts": verdicts,
-        "metrics": obs.metrics.to_dicts() if obs else [],
-        "spans": obs.tracer.to_dicts() if obs else [],
-    }
+    """The pool entry of :func:`stream_docs`: one chunk of
+    ``(doc_id, kind, value)`` triples, with :func:`validate_chunk`'s
+    payload shape."""
+    compiled = _STATE["compiled"]
+    return _chunk(chunk, lambda obs: stream_docs(chunk, compiled, obs=obs))

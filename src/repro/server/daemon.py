@@ -509,19 +509,21 @@ class ValidationServer:
                 "report": data}, 200
 
     def _op_check_shard(self, req: dict) -> "tuple[dict, int]":
-        """One shard node's unit of work in a sharded corpus run:
-        validate this node's documents with exact per-document
-        ``CorpusValidator`` semantics (so the coordinator's reassembled
-        ``verdicts_json`` is byte-identical to a serial run) and export
-        the merge-class (``L_id``) aggregates the coordinator folds.
+        """One shard node's unit of work in a sharded corpus run: the
+        corpus worker's per-document loop (:mod:`repro.corpus.worker`)
+        over this node's documents, on the handle's own scanners (or
+        schema, on batch), recording into the request's obs.  Verdicts
+        are the pool worker's, so the coordinator's reassembled
+        ``verdicts_json`` is byte-identical to a serial run.
 
-        Each document is validated once: its aggregates come from the
-        run that produced its verdict (``CorpusValidator.last_aggregates``).
-        A document this node answers from its own result cache has no
-        such run, so it gets one single-pass run for its aggregates;
-        unparseable documents export nothing (their verdict already
-        carries the error)."""
-        from repro.corpus import CorpusValidator
+        When Σ has merge-class (``L_id``) constraints, every validated
+        document exports the aggregates the coordinator folds, taken
+        from the run that produced its verdict; an unparseable one
+        exports nothing (its verdict carries the error).  The node
+        consults no result cache: the coordinator answers its hits
+        before shipping and writes every verdict through its own."""
+        from repro.corpus.validator import resolve_engine
+        from repro.corpus.worker import stream_docs, validate_docs
         from repro.shard.locality import Locality, classify_sigma
 
         handle = self.registry.get(_required(req, "schema"))
@@ -539,26 +541,17 @@ class ValidationServer:
             else:
                 raise ReproError(
                     f"documents[{i}] must be a [doc_id, xml] pair")
-        engine = req.get("engine") or self.default_mode
+        engine = resolve_engine(req.get("engine") or self.default_mode)
+        merge = classify_sigma(handle.dtd)[Locality.MERGE]
         req_obs = req.get("_obs")
-        validator = CorpusValidator(handle, jobs=1, cache=self.cache,
-                                    obs=req_obs, engine=engine)
-        report = validator.validate(pairs)
-        aggregates: "dict[str, dict]" = {}
-        if req.get("aggregates", True) \
-                and classify_sigma(handle.dtd)[Locality.MERGE]:
-            exported = validator.last_aggregates
-            cached = [k for k, v in enumerate(report.verdicts) if v.cached]
-            if cached:
-                # the result cache keeps verdicts, not aggregates: one
-                # single-pass run each recovers them
-                rerun = CorpusValidator(handle, jobs=1, engine="auto")
-                rerun.validate([pairs[k] for k in cached])
-                for k, doc_aggs in zip(cached, rerun.last_aggregates):
-                    exported[k] = doc_aggs
-            for (doc_id, _text), doc_aggs in zip(pairs, exported):
-                if doc_aggs is not None:
-                    aggregates[doc_id] = doc_aggs
+        if engine == "codegen":
+            verdicts = stream_docs(
+                [(doc_id, "text", text) for doc_id, text in pairs],
+                handle.codegen, merge, req_obs)
+        else:
+            verdicts = validate_docs(pairs, handle.dtd, merge, req_obs)
+        aggregates = {v["doc"]: v.pop("aggregates")
+                      for v in verdicts if "aggregates" in v}
         if self.obs:
             self.obs.counter(
                 "serve_documents_validated",
@@ -567,17 +560,18 @@ class ValidationServer:
                 "serve_schema_requests_total",
                 {"schema": handle.name},
                 help="validate requests per schema").add(1)
-        return {"ok": True, "valid": report.ok,
-                "documents": len(pairs),
-                "engine": validator.engine,
+        metrics = []
+        if req_obs:
+            req_obs.counter(
+                "corpus_documents_validated",
+                help="documents processed by corpus runs").add(len(pairs))
+            metrics = req_obs.metrics.to_dicts()
+        return {"ok": True, "documents": len(pairs), "engine": engine,
                 "schema": {"name": handle.name,
                            "version": handle.version,
                            "fingerprint": handle.fingerprint},
-                "verdicts": [v.to_dict(provenance=True)
-                             for v in report.verdicts],
-                "aggregates": aggregates,
-                "metrics": req_obs.metrics.to_dicts()
-                if req_obs else []}, 200
+                "verdicts": verdicts, "aggregates": aggregates,
+                "metrics": metrics}, 200
 
     def _op_lint(self, req: dict) -> "tuple[dict, int]":
         from repro.analysis import LintConfig, analyze

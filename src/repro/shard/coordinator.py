@@ -6,26 +6,31 @@ across N validator nodes, each speaking the serve protocol
 under its own span:
 
 ``shard.partition``
-    Normalize documents exactly like :class:`CorpusValidator` (shared
-    :func:`~repro.corpus.validator.normalize_docs`), resolve result
-    keys, answer what the coordinator's caches already know, and assign
-    every still-pending document to ``shard_of(content) % shards`` —
-    a pure function of content, so the layout is stable under document
-    reordering.
+    Normalize documents and resolve their result keys exactly like
+    :class:`CorpusValidator` (the shared
+    :func:`~repro.corpus.validator.normalize_docs` and
+    :func:`~repro.corpus.validator.prepare_entries`; every path is read
+    and decoded, because the wire carries text), answer what the
+    coordinator's caches already know, and assign every still-pending
+    document to ``shard_of(content) % shards`` — a pure function of
+    content, so the layout is stable under document reordering.
 
 ``shard.validate``
-    Ship each shard's batch to its node (``check-shard``).  Nodes run
-    the real :class:`CorpusValidator` per batch, so per-document
-    verdicts keep its exact semantics; they also export per-document
-    merge aggregates for every ``L_id`` constraint
+    Ship each shard's batch to its node (``check-shard``).  A node runs
+    the corpus worker's per-document loop (:mod:`repro.corpus.worker`),
+    so per-document verdicts keep its exact semantics; it also exports
+    per-document merge aggregates for every ``L_id`` constraint
     (:mod:`repro.shard.aggregates`), taken from the same run that
     produced each verdict, so a node validates every document once.
 
 ``shard.merge``
-    Reassemble verdicts into corpus order, write them through the
-    result cache, absorb each node's metrics into the coordinator's
-    :class:`~repro.obs.Observability`, and fold the aggregates (corpus
-    order, never shard order) into corpus-level findings.
+    Reassemble verdicts into corpus order and write them through the
+    result cache with :class:`CorpusValidator`'s own
+    :func:`~repro.corpus.validator.to_verdict`, absorb each node's
+    metrics into the coordinator's :class:`~repro.obs.Observability`,
+    and fold the aggregates (corpus order, never shard order) into
+    corpus-level findings.  The coordinator's result cache is the only
+    one a sharded run consults.
 
 The parity contract: ``report.verdicts_json()`` is byte-identical to a
 serial ``CorpusValidator(jobs=1)`` run over the same input, for every
@@ -41,19 +46,18 @@ import hashlib
 import time
 from typing import Callable, Iterable, Optional
 
-from repro.constraints.violations import Violation, ViolationReport
-from repro.corpus.cache import ResultCache, result_key, \
-    result_key_bytes, schema_fingerprint
+from repro.corpus.cache import ResultCache, schema_fingerprint
 from repro.corpus.report import CorpusReport, DocumentVerdict
 from repro.corpus.validator import CorpusDoc, normalize_docs, \
-    resolve_jobs
-from repro.errors import ReproError, XMLSyntaxError
+    prepare_entries, resolve_jobs, to_verdict
+from repro.errors import ReproError
+from repro.obs import NULL_OBS
 from repro.server.registry import as_handle
 from repro.shard.aggregates import CorpusViolation, fold_aggregates
 from repro.shard.locality import Locality, classify_sigma
 from repro.shard.node import LocalNode, ShardNode
 from repro.xmlio.dtdparse import parse_dtdc, serialize_dtdc
-from repro.xmlio import decode_document, encode_document
+from repro.xmlio import encode_document
 
 __all__ = ["ShardReport", "ShardedCorpusValidator", "shard_of"]
 
@@ -160,7 +164,7 @@ class ShardedCorpusValidator:
             self.cache = cache
         else:
             self.cache = ResultCache(directory=cache)
-        self.obs = obs
+        self.obs = obs or NULL_OBS
         #: per-document engine the nodes run ("auto" runs as codegen)
         self.engine = engine or "auto"
         self.node_factory = node_factory or LocalNode
@@ -168,9 +172,10 @@ class ShardedCorpusValidator:
         self.schema_name = f"shard:{self.handle.fingerprint[:12]}"
         self.fingerprint = self.handle.fingerprint
         self._merge_positions = classify_sigma(self.dtd)[Locality.MERGE]
-        #: result_key -> this document's merge aggregates (watch mode
-        #: revalidates one file; everyone else's aggregates come from
-        #: here instead of a re-ship)
+        #: result_key -> this document's merge aggregates, for the keys
+        #: the most recent run folded (watch mode revalidates one file;
+        #: everyone else's aggregates come from here instead of a
+        #: re-ship)
         self._agg_cache: dict[str, dict] = {}
         self._nodes: "list[ShardNode] | None" = None
         self._schema_text: Optional[str] = None
@@ -244,53 +249,19 @@ class ShardedCorpusValidator:
         """Validate the corpus; verdicts come back in input order and
         are byte-identical (``verdicts_json``) to a serial
         ``CorpusValidator(jobs=1)`` run over the same input."""
+        with self.obs.span("shard.run", shards=self.shards):
+            return self._run(docs)
+
+    def _run(self, docs: Iterable[CorpusDoc]) -> ShardReport:
         phases: dict[str, float] = {}
         t_start = time.perf_counter()
         obs = self.obs
-        run_span = obs.span("shard.run", shards=self.shards) \
-            if obs else None
-        if run_span:
-            run_span.__enter__()
-        try:
-            return self._run(docs, phases, t_start)
-        finally:
-            if run_span:
-                run_span.__exit__(None, None, None)
-
-    def _span(self, name: str, **attrs):
-        return self.obs.span(name, **attrs) if self.obs else None
-
-    def _run(self, docs: Iterable[CorpusDoc], phases: "dict[str, float]",
-             t_start: float) -> ShardReport:
         # -- partition ------------------------------------------------
         t0 = time.perf_counter()
-        span = self._span("shard.partition")
-        if span:
-            span.__enter__()
-        try:
+        with obs.span("shard.partition"):
             entries = normalize_docs(docs)
-            texts: list[str] = []
-            keys: list[str] = []
-            for i, (doc_id, kind, value) in enumerate(entries):
-                if kind == "path":
-                    with open(value, "rb") as fh:
-                        data = fh.read()
-                    keys.append(result_key_bytes(data, self.fingerprint))
-                    try:
-                        value = decode_document(data)
-                    except XMLSyntaxError as exc:
-                        # never shipped (the wire carries text): the
-                        # error is the document's verdict
-                        entries[i] = (doc_id, "error", str(exc))
-                else:
-                    try:
-                        keys.append(result_key(value, self.fingerprint))
-                    except XMLSyntaxError as exc:
-                        # a lone surrogate: no bytes to key, hash or ship
-                        keys.append("")
-                        entries[i] = (doc_id, "error", str(exc))
-                texts.append(value)
-
+            keys = prepare_entries(entries, self.fingerprint,
+                                   decode=True, key_paths=True)
             need_aggs = bool(self._merge_positions)
             verdicts: list[Optional[DocumentVerdict]] = \
                 [None] * len(entries)
@@ -312,50 +283,36 @@ class ShardedCorpusValidator:
 
             by_shard: dict[int, list[int]] = {}
             for i in pending:
-                s = shard_of(encode_document(texts[i]), self.shards)
+                s = shard_of(encode_document(entries[i][2]), self.shards)
                 by_shard.setdefault(s, []).append(i)
-        finally:
-            if span:
-                span.__exit__(None, None, None)
         phases["partition"] = time.perf_counter() - t0
 
         # -- validate (one batch per shard, on its node) --------------
         t0 = time.perf_counter()
-        span = self._span("shard.validate", shards=len(by_shard))
-        if span:
-            span.__enter__()
-        try:
+        with obs.span("shard.validate", shards=len(by_shard)):
             # a fully cache-answered pass (watch mode's steady state)
             # never even wakes the node fleet
             nodes = self._ensure_nodes() if by_shard else []
             responses: dict[int, dict] = {}
             for s in sorted(by_shard):
-                pairs = [(entries[i][0], texts[i]) for i in by_shard[s]]
+                pairs = [(entries[i][0], entries[i][2])
+                         for i in by_shard[s]]
                 try:
                     responses[s] = nodes[s].check_shard(
-                        self.schema_name, pairs, engine=self.engine,
-                        aggregates=need_aggs)
+                        self.schema_name, pairs, engine=self.engine)
                 except ReproError as exc:
                     raise ReproError(
                         f"shard {s} failed on its {len(pairs)} "
                         f"document(s) ({', '.join(d for d, _ in pairs)})"
                         f": {exc}") from exc
-        finally:
-            if span:
-                span.__exit__(None, None, None)
         phases["validate"] = time.perf_counter() - t0
 
         # -- merge ----------------------------------------------------
         t0 = time.perf_counter()
-        span = self._span("shard.merge")
-        if span:
-            span.__enter__()
-        try:
-            obs = self.obs
+        with obs.span("shard.merge"):
             for s in sorted(responses):
                 response = responses[s]
-                if obs:
-                    obs.absorb({"metrics": response.get("metrics", [])})
+                obs.absorb({"metrics": response.get("metrics", [])})
                 node_aggs = response.get("aggregates", {})
                 shard_verdicts = response["verdicts"]
                 indices = by_shard[s]
@@ -364,8 +321,7 @@ class ShardedCorpusValidator:
                         f"shard {s} returned {len(shard_verdicts)} "
                         f"verdicts for {len(indices)} documents")
                 for i, vd in zip(indices, shard_verdicts):
-                    verdicts[i] = self._to_verdict(
-                        entries[i][0], keys[i], vd)
+                    verdicts[i] = to_verdict(keys[i], vd, self.cache)
                     if need_aggs:
                         # missing doc_id == parse error: no aggregates,
                         # cached as {} so the corpus is refold-able from
@@ -377,18 +333,20 @@ class ShardedCorpusValidator:
             corpus_violations: list[CorpusViolation] = []
             merge_stats: dict = {}
             if need_aggs:
+                # keep only what this run folded: an edited document's
+                # old content is not held on to (it costs one re-ship
+                # should that content come back)
+                self._agg_cache = {k: self._agg_cache[k] for k in keys
+                                   if k in self._agg_cache}
                 doc_aggs = [(entries[i][0],
                              self._agg_cache.get(keys[i], {}))
                             for i in range(len(entries))]
                 corpus_violations, merge_stats = \
                     fold_aggregates(self.dtd, doc_aggs)
-        finally:
-            if span:
-                span.__exit__(None, None, None)
         phases["merge"] = time.perf_counter() - t0
         phases["total"] = time.perf_counter() - t_start
 
-        if obs and obs.metrics.enabled:
+        if obs.metrics.enabled:
             for s in sorted(by_shard):
                 obs.counter("shard_docs_assigned",
                             labels={"shard": str(s)},
@@ -411,22 +369,6 @@ class ShardedCorpusValidator:
             cache_stats=self.cache.stats()
             if self.cache is not None else None,
             obs=obs or None)
-
-    def _to_verdict(self, doc_id: str, key: str,
-                    verdict_dict: dict) -> DocumentVerdict:
-        """Rebuild one node verdict; write clean/invalid (not errored)
-        results through the coordinator's cache, exactly like the
-        serial validator does."""
-        if verdict_dict.get("error") is not None:
-            return DocumentVerdict(doc_id, key, False,
-                                   error=verdict_dict["error"])
-        violations = [Violation.from_dict(v)
-                      for v in verdict_dict["violations"]]
-        if self.cache is not None:
-            report = ViolationReport(list(violations))
-            self.cache.put(key, report)
-        return DocumentVerdict(doc_id, key, verdict_dict["ok"],
-                               violations)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"<ShardedCorpusValidator "

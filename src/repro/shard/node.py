@@ -65,13 +65,12 @@ class ShardNode:
 
     def check_shard(self, schema: str,
                     pairs: "list[tuple[str, str]]",
-                    engine: Optional[str] = None,
-                    aggregates: bool = True) -> dict:
-        """Validate one batch of ``(doc_id, xml)`` pairs on the node."""
+                    engine: Optional[str] = None) -> dict:
+        """Validate one batch of ``(doc_id, xml)`` pairs on the node;
+        whether it exports merge aggregates follows the node's Σ."""
         req: dict = {"op": "check-shard", "schema": schema,
                      "documents": [[doc_id, text]
-                                   for doc_id, text in pairs],
-                     "aggregates": aggregates}
+                                   for doc_id, text in pairs]}
         if engine is not None:
             req["engine"] = engine
         return self._checked(req)

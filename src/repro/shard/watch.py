@@ -113,7 +113,7 @@ class WatchSession:
                  paths: "Iterable[str | os.PathLike]", obs=None):
         self.validator = validator
         self.paths = [os.fspath(p) for p in paths]
-        self.obs = obs if obs is not None else validator.obs
+        self.obs = obs or validator.obs
         self.manifest: dict[str, ManifestEntry] = {}
         self.cycle = 0
 
@@ -162,13 +162,9 @@ class WatchSession:
         content changed, nothing removed, not the first pass);
         otherwise one :class:`WatchDelta` for the whole wake-up."""
         self.cycle += 1
-        span = self.obs.span("watch.poll", cycle=self.cycle) \
-            if self.obs else None
-        if span:
-            span.__enter__()
-        try:
+        with self.obs.span("watch.poll", cycle=self.cycle):
             files, changed, unchanged, removed = self._scan()
-            if self.obs and self.obs.metrics.enabled:
+            if self.obs.metrics.enabled:
                 self.obs.counter(
                     "watch_polls", help="watch-mode wake-ups").add(1)
                 self.obs.counter(
@@ -186,9 +182,6 @@ class WatchSession:
             report = self.validator.validate(files)
             return WatchDelta(self.cycle, report, changed=changed,
                               removed=removed, unchanged=unchanged)
-        finally:
-            if span:
-                span.__exit__(None, None, None)
 
     def run(self, interval: float = 1.0,
             max_cycles: Optional[int] = None,

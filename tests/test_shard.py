@@ -373,31 +373,78 @@ class TestSinglePassNodes:
                 report.merge_stats) == expected
         assert report.corpus_violations  # the corpus has findings
 
-    def test_node_cache_hits_still_export(self, federation, monkeypatch):
-        """A node answering from its own warm result cache, driven by a
-        fresh coordinator (no aggregate cache), still exports every
-        document's aggregates."""
+    def test_node_cache_is_not_consulted(self, federation, monkeypatch):
+        """A node whose server holds a warm result cache neither reads
+        nor writes it on ``check-shard``, and still exports every
+        document's aggregates: the coordinator's cache is the only one
+        a sharded run consults."""
+        from repro.corpus import result_key
+
         dtd, trees = federation
         docs = _pairs(trees, "f")
+        handle = as_handle(dtd)
         node_cache = ResultCache()
+        for _doc_id, text in docs:
+            node_cache.put(result_key(text, handle.fingerprint),
+                           CodegenValidator(handle).validate_text(text))
+        warm = (node_cache.hits, node_cache.misses)
 
         def cached_node(name):
             node = LocalNode(name)
             node.server = ValidationServer(cache=node_cache)
             return node
 
-        with ShardedCorpusValidator(dtd, shards=2,
-                                    node_factory=cached_node) as warmup:
-            warmup.validate(docs)
-        hits = node_cache.hits
         _forbid_parsing(monkeypatch)
         with ShardedCorpusValidator(dtd, shards=2,
                                     node_factory=cached_node) as sv:
-            assert sv._agg_cache == {}
             report = sv.validate(docs)
-        assert node_cache.hits - hits == len(docs)
+        assert (node_cache.hits, node_cache.misses) == warm
         assert ([v.to_dict() for v in report.corpus_violations],
                 report.merge_stats) == _serial_fold(dtd, docs)
+
+    def test_node_builds_its_scanners_once(self, federation, monkeypatch):
+        """A node runs ``check-shard`` on its schema handle's scanners:
+        two requests build them once."""
+        from repro.codegen import engine as engine_mod
+        from repro.corpus.cache import schema_fingerprint
+        from repro.xmlio.dtdparse import serialize_dtdc
+
+        dtd, trees = federation
+        builds = []
+        scanners = engine_mod.scanners
+
+        def counted(*args):
+            builds.append(args)
+            return scanners(*args)
+
+        monkeypatch.setattr(engine_mod, "scanners", counted)
+        with LocalNode() as node:
+            node.load_schema("reg", serialize_dtdc(dtd),
+                             dtd.structure.root, schema_fingerprint(dtd))
+            for batch in (trees[:3], trees[3:]):
+                response = node.check_shard("reg", _pairs(batch),
+                                            engine="codegen")
+                assert len(response["aggregates"]) == len(batch)
+        assert len(builds) == 1
+
+
+class TestPoolWorkers:
+    @pytest.mark.parametrize("engine", ["batch", "codegen"])
+    def test_pool_runs_export_no_aggregates(self, monkeypatch, engine):
+        """Nothing folds a pool run's aggregates, so its workers never
+        compute them."""
+        import repro.shard.aggregates as aggregates_mod
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a pool run computed merge aggregates")
+
+        monkeypatch.setattr(aggregates_mod, "aggregates_of", forbidden)
+        monkeypatch.setattr(aggregates_mod, "extract_aggregates",
+                            forbidden)
+        dtd, trees = federated_corpus(n_docs=3, seed=5)
+        report = CorpusValidator(dtd, jobs=1, engine=engine).validate(
+            _pairs(trees))
+        assert len(report.verdicts) == 3
 
 
 # -- nodes ------------------------------------------------------------------
@@ -751,6 +798,26 @@ class TestWatch:
             delta = session.poll()
             assert delta.removed == [str(extra)]
             assert delta.changed == []
+
+    def test_aggregate_cache_keeps_only_the_folded_keys(self, tmp_path):
+        """Editing one file of three, five times over, leaves the
+        aggregates of the three current contents and no older one, and
+        each wake-up still ships only the edited file."""
+        dtd = self._corpus_dir(tmp_path, n_docs=3)
+        target = tmp_path / "doc01.xml"
+        with ShardedCorpusValidator(dtd, shards=2,
+                                    cache=ResultCache()) as sv:
+            session = WatchSession(sv, [tmp_path])
+            session.poll()
+            for n in range(1, 6):
+                # a new size each time: the stat moves whatever the
+                # filesystem's mtime granularity
+                target.write_text(
+                    f'<registry><person pid="{"e" * n}"/></registry>')
+                delta = session.poll()
+                assert delta.changed == [str(target)]
+                assert sum(delta.report.shard_sizes.values()) == 1
+            assert len(sv._agg_cache) == 3
 
     def test_run_max_cycles(self, tmp_path):
         dtd = self._corpus_dir(tmp_path, n_docs=2)

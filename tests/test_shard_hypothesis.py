@@ -221,8 +221,8 @@ class TestNodeAggregatesOracle:
         verdict with no aggregates, the non-ASCII one exports."""
         response = _node_export(LID_SCHEMA, _FIXED, "codegen")
         verdicts = {v["doc"]: v for v in response["verdicts"]}
-        assert verdicts["non-ascii"]["ok"]
-        assert not verdicts["invalid"]["ok"]
+        assert verdicts["non-ascii"]["report"]["ok"]
+        assert not verdicts["invalid"]["report"]["ok"]
         assert verdicts["invalid"]["error"] is None
         assert verdicts["malformed"]["error"] is not None
         assert set(response["aggregates"]) == {"non-ascii", "invalid"}
