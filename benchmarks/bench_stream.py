@@ -32,7 +32,10 @@ engine's constraint split: ``random_corpus`` library files, whose
 ``L``/``L_u`` Σ the constraint kernels check, ``federated_corpus``
 registry files, whose ``L_id`` Σ the kernels check too, and club
 files, whose Σ (a §3.4 sub-element key and an ID inverse) stays on
-the evaluators; it sets no speed bar.
+the evaluators; it sets no speed bar.  It checks by count that the
+kernel-fed files take codegen's column runs: ``codegen_column_elements``
+equals the number of non-root elements on every library and registry
+file, and 0 on every club file.
 
 Run styles::
 
@@ -60,6 +63,7 @@ else:  # `python benchmarks/bench_stream.py` — repo root not on sys.path
 from repro.codegen import CodegenValidator
 from repro.datamodel import DataTree
 from repro.dtd.validate import validate
+from repro.obs import Observability
 from repro.server.registry import as_handle
 from repro.workloads.generators import federated_corpus, random_corpus
 from repro.xmlio import serialize
@@ -275,32 +279,37 @@ def _dense_corpora():
         yield ("club", *_club_corpus(n_docs, n_vertices, seed=n_vertices))
 
 
-def _dense_mismatches(directory: str) -> tuple[int, int]:
+def _dense_mismatches(directory: str) -> tuple[int, int, int]:
     """The pretty-printed :func:`_dense_corpora` files, written to
     ``directory``: (files, codegen-over-mmap reports differing from
-    batch)."""
+    batch, files whose ``codegen_column_elements`` is not every
+    non-root element on the kernel-fed corpora and 0 on club)."""
     from repro import Validator
 
-    files = mismatches = 0
+    files = mismatches = off_path = 0
     for name, dtd, docs in _dense_corpora():
-        v = Validator(dtd)
         for doc in docs:
             text = serialize(doc)
             path = os.path.join(directory, f"{name}-{files}.xml")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             files += 1
-            mismatches += v.check(path, engine="codegen").to_json() \
-                != _batch(dtd, text).to_json()
-    return files, mismatches
+            obs = Observability()
+            report = Validator(dtd, obs=obs).check(path, engine="codegen")
+            mismatches += report.to_json() != _batch(dtd, text).to_json()
+            expected = 0 if name == "club" else len(doc.vertices()) - 1
+            off_path += obs.metrics.total(
+                "codegen_column_elements") != expected
+    return files, mismatches, off_path
 
 
 def test_e23_codegen_dense_files_match_batch(tmp_path):
     """Acceptance: on constraint-dense files of up to 2000 vertices, the
     mmap path is byte-identical to batch — with Σ on the constraint
-    kernels (library, registry) and on the evaluators (club)."""
-    files, mismatches = _dense_mismatches(str(tmp_path))
-    assert files and mismatches == 0
+    kernels (library, registry) and on the evaluators (club) — and the
+    kernel-fed files take the column runs throughout."""
+    files, mismatches, off_path = _dense_mismatches(str(tmp_path))
+    assert files and mismatches == 0 and off_path == 0
 
 
 def test_e23_club_files_stay_on_evaluators():
@@ -434,7 +443,7 @@ def _report_in(directory: str, n_docs: int, smoke: bool) -> int:
     speedup = tokenize / feed_codegen
 
     distinct, total = _interning_delta()
-    dense_files, dense_mismatches = _dense_mismatches(
+    dense_files, dense_mismatches, dense_off_path = _dense_mismatches(
         _mkdirs(directory, "dense") + "/dense")
 
     print(f"E19 single pass: {n_docs} docs, {os.cpu_count()} core(s)")
@@ -455,10 +464,12 @@ def _report_in(directory: str, n_docs: int, smoke: bool) -> int:
           f"{feed_codegen * 1e3:.1f} ms ({speedup:.1f}x)")
     print(f"E23 dense: {dense_files} library and registry (kernel) and "
           f"club (evaluator) files of 60 and 2000 vertices via mmap, "
-          f"{dense_mismatches} codegen/batch mismatch(es)")
+          f"{dense_mismatches} codegen/batch mismatch(es), "
+          f"{dense_off_path} file(s) off the column-run path")
 
     ok = (not any(mismatches.values()) and feed_equal
-          and dense_mismatches == 0 and speedup >= 5.0
+          and dense_mismatches == 0 and dense_off_path == 0
+          and speedup >= 5.0
           and all(p8k < 4 * p1k and p10k < 0.5 * batch_peak
                   for p1k, p8k, p10k in peaks.values()))
     if not smoke:

@@ -52,8 +52,9 @@ class CompiledSchema:
     def __init__(self, fingerprint: str, runs: "dict[str, bool]", plan,
                  scan_str, scan_bytes):
         self.fingerprint = fingerprint
-        #: the labels whose runs take the scanners' fast path
-        #: (:func:`~repro.codegen.runtime.run_labels`)
+        #: the Σ-irrelevant labels whose runs take the scanners' fast
+        #: path (:func:`~repro.codegen.runtime.run_labels`); the
+        #: kernel-fed ones are ``plan.columns``
         self.runs = runs
         self.plan = plan
         self.scan_str = scan_str
@@ -140,8 +141,8 @@ class CodegenValidator:
     def validate_path(self, path: str):
         """Validate a file via ``mmap`` — the zero-copy path: the kernel
         pages the document in, the scanner skips Σ-irrelevant runs
-        without decoding, and only start-tag attribute spans and
-        captured text become strings."""
+        without decoding, and only start-tag attribute spans, column
+        runs and captured text become strings."""
         with open(path, "rb") as fh:
             try:
                 mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)

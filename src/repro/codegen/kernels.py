@@ -12,18 +12,25 @@ whose fields are all attributes a *kernel* here; the scanner calls its
 feeds at each start tag of a label it reads, with the vid and the tag's
 unescaped attribute map, so the element is never retained — no
 :class:`~repro.codegen.runtime.StreamVertex`, no value frozensets, no
-index entry.
+index entry.  A run of a column label
+(:attr:`~repro.codegen.plan.StreamPlan.columns`) arrives instead as one
+call of the kernel's *column feed* for that role, with the run's first
+vid, its length and ``{attribute: values}``: every row of such a run is
+complete and single-valued.
 
 - a **key kernel** probes a dict of first owners with each complete
-  row; a second owner opens the row's duplicate group;
+  row; a second owner opens the row's duplicate group.  A column whose
+  rows are distinct and owned by no earlier element merges into the
+  dict in one step; any other is probed row by row, in vid order;
 - a **foreign-key kernel** appends each target's row (``L``) or value
   (``L_u``, and the ID of an ``L_id`` reference's target) and each
   source's row or value, and resolves the sources by one set
   difference when the report is assembled;
 - an **ID kernel** reads the document's :class:`IDOwners` table, which
-  every ID-bearing start tag updates once, however many
-  ``IDConstraint`` kernels Σ holds: its owners are every element whose
-  label declares an ID attribute, not only ``tau``'s.
+  every ID-bearing start tag (or column run, merged as a key kernel
+  merges it) updates once, however many ``IDConstraint`` kernels Σ
+  holds: its owners are every element whose label declares an ID
+  attribute, not only ``tau``'s.
 
 Each kernel reproduces its evaluator's report exactly — codes,
 messages, vertex lists and order:
@@ -89,12 +96,51 @@ def _row_getter(fields):
     return row_of
 
 
+def _column_rows(fields):
+    """``columns -> rows`` along single-valued ``fields``: a one-field
+    row is the value itself, a longer one a tuple of values (the rows
+    :func:`_row_getter` builds from the same elements' maps)."""
+    if len(fields) == 1:
+        return itemgetter(fields[0][0])
+    getter = itemgetter(*(name for name, _split in fields))
+    return lambda columns: list(zip(*getter(columns)))
+
+
+def _claimer(first: dict, groups: dict):
+    """``(claim, claim_column)`` over ``first`` (each value's first
+    owner) and ``groups`` (each value owned twice or more, to all its
+    owners in vid order): ``claim(value, vid)`` records one owner,
+    ``claim_column(values, vids)`` a run of them."""
+    setdefault = first.setdefault
+
+    def claim(value, vid):
+        owner = setdefault(value, vid)
+        if owner != vid:
+            group = groups.get(value)
+            if group is None:
+                groups[value] = [owner, vid]
+            else:
+                group.append(vid)
+
+    def claim_column(values, vids):
+        column = dict(zip(values, vids))
+        if len(column) == len(vids) and first.keys().isdisjoint(column):
+            first.update(column)
+            return
+        for value, vid in zip(values, vids):
+            claim(value, vid)
+
+    return claim, claim_column
+
+
 class _Kernel(ConstraintEvaluator):
     """A constraint checked from attribute maps.  ``feeds`` maps a role
     (``"source"``, and ``"target"`` for a foreign key) to the function
     the scanner calls with ``(vid, amap)`` at each start tag of the
-    label in that role; a kernel is never fed through ``add()`` and
-    never ``full()``-ed."""
+    label in that role, and ``columns`` to the one it calls with
+    ``(first vid, count, {attribute: values})`` at each column run of
+    it; a kernel is never fed through ``add()`` and never
+    ``full()``-ed."""
 
     def __init__(self, constraint, spec, name: str):
         super().__init__(constraint, None, {})
@@ -104,6 +150,7 @@ class _Kernel(ConstraintEvaluator):
         self.target = spec.target
         self.unary = len(spec.fields) == 1
         self.feeds: dict = {}
+        self.columns: dict = {}
 
     def settled_counts(self) -> tuple[int, int, int]:
         """``(visited, hits, misses)`` as the evaluator's one ``full()``
@@ -123,11 +170,12 @@ class _KeyKernel(_Kernel):
 
     def __init__(self, constraint, spec, name):
         super().__init__(constraint, spec, name)
-        first = self.first = {}
-        dups = self.dups = {}
+        self.first = {}
+        self.dups = {}
         incomplete = self.incomplete = []
         row_of = _row_getter(spec.fields)
-        claim = first.setdefault
+        rows_of = _column_rows(spec.fields)
+        claim, claim_column = _claimer(self.first, self.dups)
 
         def source(vid, amap):
             try:
@@ -135,15 +183,13 @@ class _KeyKernel(_Kernel):
             except KeyError:
                 incomplete.append(vid)
                 return
-            owner = claim(row, vid)
-            if owner != vid:
-                group = dups.get(row)
-                if group is None:
-                    dups[row] = [owner, vid]
-                else:
-                    group.append(vid)
+            claim(row, vid)
+
+        def source_column(vid, count, columns):
+            claim_column(rows_of(columns), range(vid, vid + count))
 
         self.feeds["source"] = source
+        self.columns["source"] = source_column
 
     def settled_counts(self):
         misses = len(self.first)
@@ -170,6 +216,8 @@ class _RowForeignKeyKernel(_Kernel):
         sources = self.sources = []
         target_row = _row_getter(spec.target_fields)
         source_row = _row_getter(spec.fields)
+        target_rows = _column_rows(spec.target_fields)
+        source_rows = _column_rows(spec.fields)
         self._dangling = None
 
         def target(vid, amap):
@@ -184,8 +232,17 @@ class _RowForeignKeyKernel(_Kernel):
             except KeyError:
                 sources.append((vid, None))
 
+        def target_column(vid, count, columns):
+            targets.extend(target_rows(columns))
+
+        def source_column(vid, count, columns):
+            sources.extend(zip(range(vid, vid + count),
+                               source_rows(columns)))
+
         self.feeds["target"] = target
         self.feeds["source"] = source
+        self.columns["target"] = target_column
+        self.columns["source"] = source_column
 
     def _resolve(self):
         """The dangling ``(vid, row)`` sources, in document order."""
@@ -243,8 +300,16 @@ class _ValueForeignKeyKernel(_Kernel):
         def source(vid, amap):
             sources.append((vid, amap.get(field)))
 
+        def target_column(vid, count, columns):
+            targets.extend(columns[target_field])
+
+        def source_column(vid, count, columns):
+            sources.extend(zip(range(vid, vid + count), columns[field]))
+
         self.feeds["target"] = target
         self.feeds["source"] = source
+        self.columns["target"] = target_column
+        self.columns["source"] = source_column
 
     def _values(self, raw):
         """A source's value set, as the batch parser builds it."""
@@ -347,36 +412,40 @@ class IDOwners:
     ``members`` each ID-bearing label to its ``(vid, value)`` elements
     in vid order, ``value`` None where the attribute is missing.
     ``feeds`` maps each ID-bearing label to the function its start tags
-    call with ``(vid, amap)``."""
+    call with ``(vid, amap)``, and ``columns`` to the one its column
+    runs call with ``(first vid, count, {attribute: values})``."""
 
-    __slots__ = ("first", "shared", "members", "feeds")
+    __slots__ = ("first", "shared", "members", "feeds", "columns")
 
     def __init__(self, id_attributes: dict[str, str]):
         self.first: dict[str, int] = {}
         self.shared: dict[str, list[int]] = {}
         self.members: dict[str, list] = {}
-        self.feeds = {label: self._feed(label, attr)
-                      for label, attr in id_attributes.items()}
+        self.feeds: dict = {}
+        self.columns: dict = {}
+        claim, claim_column = _claimer(self.first, self.shared)
+        for label, attr in id_attributes.items():
+            self.feeds[label], self.columns[label] = self._feed(
+                self.members.setdefault(label, []), attr, claim,
+                claim_column)
 
-    def _feed(self, label: str, attr: str):
-        record = self.members.setdefault(label, []).append
-        claim = self.first.setdefault
-        shared = self.shared
+    @staticmethod
+    def _feed(members: list, attr: str, claim, claim_column):
+        record = members.append
 
         def owner(vid, amap):
             value = amap.get(attr)
             record((vid, value))
-            if value is None:
-                return
-            first = claim(value, vid)
-            if first != vid:
-                group = shared.get(value)
-                if group is None:
-                    shared[value] = [first, vid]
-                else:
-                    group.append(vid)
+            if value is not None:
+                claim(value, vid)
 
-        return owner
+        def owner_column(vid, count, columns):
+            values = columns[attr]
+            vids = range(vid, vid + count)
+            members.extend(zip(vids, values))
+            claim_column(values, vids)
+
+        return owner, owner_column
 
 
 class _IDKernel(_Kernel):

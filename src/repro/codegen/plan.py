@@ -9,8 +9,8 @@ to handle each element in O(1):
 
 - per declared element type: the (lazily-determinized) content-model
   :class:`~repro.regexlang.automaton.Matcher`, the declared attribute
-  set, and the set-valued attribute names — the structural half of
-  Definition 2.4;
+  set and declaration order, and the set-valued attribute names — the
+  structural half of Definition 2.4;
 - which Σ positions a *constraint kernel* checks (:class:`KernelSpec`,
   decided once per schema from Σ alone): every ``Key``, ``UnaryKey``,
   ``ForeignKey``, ``UnaryForeignKey`` and ``SetValuedForeignKey``
@@ -32,7 +32,10 @@ to handle each element in O(1):
 - which child labels act as §3.4 sub-element fields of which parents
   (:attr:`StreamPlan.elem_fields`, keyed by every label Σ names such
   a field on, declared or not), so the scanner knows whose text to
-  capture.
+  capture;
+- the *column labels* (:attr:`StreamPlan.columns`): kernel-fed leaves
+  whose runs the scanner consumes with one regex match, feeding each
+  kernel the run's attribute values as columns.
 
 A plan is compiled once per schema and is picklable (kernel specs are
 plain data); the matcher table is dropped on ``__getstate__`` and
@@ -71,14 +74,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LabelPlan:
     """Everything the single pass needs to know about one element type."""
 
-    __slots__ = ("label", "declared_attrs", "set_valued")
+    __slots__ = ("label", "declared_attrs", "attr_order", "set_valued")
 
     def __init__(self, label: str, declared_attrs: frozenset[str],
-                 set_valued: frozenset[str]):
+                 attr_order: tuple[str, ...], set_valued: frozenset[str]):
         self.label = label
         #: declared attribute names, in the exact ``structure.attributes``
         #: order the batch validator iterates for missing-attribute checks
         self.declared_attrs = declared_attrs
+        #: the same names in declaration order: the order a column run's
+        #: pattern admits them in
+        self.attr_order = attr_order
         self.set_valued = set_valued
 
 
@@ -255,11 +261,56 @@ class StreamPlan:
         for label in self.structure.element_types:
             declared = self.structure.attributes(label)
             self.labels[label] = LabelPlan(
-                label, declared,
+                label, declared, self.structure.attribute_order(label),
                 frozenset(a for a in declared
                           if self.structure.is_set_valued(label, a)))
 
         self._matchers: dict[str, Matcher] | None = None
+
+        #: labels some content model admits as a child
+        self.admitted: frozenset[str] = frozenset().union(*(
+            self.structure.subelements(label)
+            for label in self.structure.element_types))
+        #: column label -> its declared attributes in declaration order
+        #: (:meth:`_column_labels`)
+        self.columns: dict[str, tuple[str, ...]] = self._column_labels()
+
+    def _column_labels(self) -> dict[str, tuple[str, ...]]:
+        """The labels whose runs the scanner may consume with one regex
+        match per run, each mapped to its declared attributes in
+        declaration order.
+
+        Such a label is fed to a kernel or the ID owner table, retained
+        by no evaluator, captured as text by no parent, admitted as a
+        child by some content model, and its own content model accepts
+        the empty word; every attribute a kernel or the owner table
+        reads on it is declared on it and single-valued.  An element
+        the run pattern takes (``<L a1="…" a2="…"/>``, exactly the
+        declared attributes) so carries a complete single-valued row
+        for every kernel and no structural violation of its own.
+        """
+        reads: dict[str, set[str]] = {}
+        for spec in self.kernels:
+            if spec is None:
+                continue
+            reads.setdefault(spec.element, set()).update(
+                name for name, _split in spec.fields)
+            if spec.target:
+                reads.setdefault(spec.target, set()).update(
+                    name for name, _split in spec.target_fields)
+        for label, attr in self.id_owners.items():
+            reads.setdefault(label, set()).add(attr)
+        s = self.structure
+        return {
+            label: self.labels[label].attr_order
+            for label, names in reads.items()
+            if label in self.labels and label in self.admitted
+            and label not in self.relevant
+            and label not in self.text_fields
+            and self.matchers[label].is_accepting_state(0)
+            and all(s.has_attribute(label, name)
+                    and not s.is_set_valued(label, name)
+                    for name in names)}
 
     # -- content-model automata (lazy; rebuilt after unpickling) ---------
 

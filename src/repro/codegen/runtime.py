@@ -20,7 +20,11 @@ specialised to the schema:
   kernel), called with the vid and the tag's unescaped attribute map;
 - **Σ-irrelevant run labels** (:func:`run_labels`) — labels no
   constraint watches, with no declared attributes and a text-or-empty
-  content model, whose runs a bounded regex match consumes.
+  content model, whose runs a bounded regex match consumes;
+- **column labels** (:attr:`~repro.codegen.plan.StreamPlan.columns`) —
+  kernel-fed leaves whose runs of ``<L a1="…" a2="…"/>`` a bounded regex
+  match consumes too, each kernel (and the ID owner table) then taking
+  the run's attribute values as columns.
 
 What a scanner does per construct:
 
@@ -38,6 +42,16 @@ What a scanner does per construct:
   regex match, so neither the regex engine's backtracking stack nor the
   copy an ``mmap`` (which has no ``count``) needs to count a match in
   grows with the run; the parent DFA advances arithmetically;
+- so is a run of a column label's empty elements that carry exactly
+  its declared attributes, in declaration order, double-quoted and
+  free of ``<``, ``&`` and ``"``: the matched span is decoded once, one
+  ``findall`` yields the run's values in order, and every column feed
+  (:attr:`RunState.columns`) takes them as ``(first vid, count,
+  {attribute: values})``.  A tag the pattern does not take (another
+  order, single quotes, an entity, a missing or extra attribute,
+  ``></L>``, text or a comment in the run) goes to the per-tag path,
+  from that tag on.  Each run pattern is compiled on the scanner's
+  first run attempt for its label, never when the scanner is built;
 - an element of a label the evaluator-path constraints read
   (:attr:`~repro.codegen.plan.StreamPlan.relevant`) becomes a
   :class:`StreamVertex` at its start tag, appended to its label's
@@ -55,6 +69,7 @@ comment raise the tokenizer's located errors.
 from __future__ import annotations
 
 import re
+import sys
 from operator import itemgetter
 
 from repro.codegen.kernels import IDOwners, kernel_for
@@ -82,10 +97,22 @@ _ATTR_FIND = re.compile(
     r"([^\s=]+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')").findall
 
 
+#: the values of a decoded column-run span, in document order: the span
+#: matched a column pattern, so every ``="`` opens the next value
+_VALUE_FIND = re.compile(r'=\s*"([^"]*)"').findall
+
+
 #: most elements one match of a run pattern consumes; a longer run takes
 #: several matches, so a match's backtracking stack (and an ``mmap``'s
 #: counting copy) stays bounded whatever the run's length
 RUN_MAX = 256
+
+#: the possessive-quantifier suffix where ``re`` has one (Python 3.11+):
+#: every quantifier in a run pattern is followed by a character its
+#: class excludes, so it never gives anything back, and a possessive one
+#: keeps no backtracking state per element (a 256-element match
+#: otherwise grows the matcher's stack by about 180 KB)
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
 
 
 def run_labels(plan) -> dict[str, bool]:
@@ -93,17 +120,19 @@ def run_labels(plan) -> dict[str, bool]:
     a regex match, each mapped to whether one text chunk is legal in it.
 
     Such a label is retained by no constraint, fed to no kernel,
-    captured as text by no parent, declares no attributes, and has a
-    content model that accepts exactly what the run pattern admits —
-    the empty word (``<L/>``, ``<L></L>``) and, when text is legal, one
-    text chunk (``<L>text</L>``).  Elements matched by the pattern can
-    contribute nothing to the report beyond a vid and one parent-DFA
-    step, which the scanner applies arithmetically.
+    captured as text by no parent, declares no attributes, is admitted
+    as a child by some content model, and has a content model that
+    accepts exactly what the run pattern admits — the empty word
+    (``<L/>``, ``<L></L>``) and, when text is legal, one text chunk
+    (``<L>text</L>``).  Elements matched by the pattern can contribute
+    nothing to the report beyond a vid and one parent-DFA step, which
+    the scanner applies arithmetically.
     """
     runs = {}
     for label, lp in plan.labels.items():
         if (label in plan.relevant or label in plan.feeds
-                or label in plan.text_fields or lp.declared_attrs):
+                or label in plan.text_fields or lp.declared_attrs
+                or label not in plan.admitted):
             continue
         m = plan.matchers[label]
         if m.is_accepting_state(0):
@@ -113,21 +142,39 @@ def run_labels(plan) -> dict[str, bool]:
     return runs
 
 
+def _run(unit: str, ws: str) -> str:
+    """Up to :data:`RUN_MAX` elements ``unit`` separated by whitespace.
+    A match starts at the first element's ``<`` (so the first
+    separator is empty) and ends at its last element, so text after a
+    run starts where the tokenizer's does (the line of an error in that
+    text depends on it)."""
+    p = _POSSESSIVE
+    return f"(?:{ws}*{p}(?:{unit})){{1,{RUN_MAX}}}{p}"
+
+
 def _run_pattern(label: str, text_ok: bool, ws: str):
     """The run pattern for a Σ-irrelevant leaf label and the tokens that
     count its elements: ``<L/>``, ``<L></L>`` and, when text is legal,
-    ``<L>text</L>``, separated by whitespace, at most :data:`RUN_MAX`
-    of them.  A run ends at its last element, so text after it starts
-    where the tokenizer's does (the line of an error in that text
-    depends on it)."""
+    ``<L>text</L>``."""
     e = re.escape(label)
     if text_ok:
-        unit = f"<{e}>[^<&]*</{e}>|<{e}/>"
+        unit = f"<{e}>[^<&]*{_POSSESSIVE}</{e}>|<{e}/>"
         tokens = (f"<{label}>", f"<{label}/>")
     else:
         unit = f"<{e}/>|<{e}></{e}>"
         tokens = (f"<{label}/>", f"<{label}></{label}>")
-    return f"(?:{unit})(?:{ws}*(?:{unit})){{0,{RUN_MAX - 1}}}", tokens
+    return _run(unit, ws), tokens
+
+
+def _column_pattern(label: str, names: tuple[str, ...], ws: str) -> str:
+    """The run pattern for a column label: ``<L a1="…" a2="…"/>`` with
+    exactly the attributes ``names``, in that order, each value
+    double-quoted and free of ``<``, ``&`` and ``"``."""
+    p = _POSSESSIVE
+    attrs = "".join(
+        f'{ws}+{p}{re.escape(name)}{ws}*{p}={ws}*{p}"[^"<&]*{p}"'
+        for name in names)
+    return _run(f"<{re.escape(label)}{attrs}{ws}*{p}/>", ws)
 
 
 def scanners(plan, runs):
@@ -166,24 +213,31 @@ def _scanner(plan, runs, *, as_bytes):
     root = plan.root
     relevant = plan.relevant
     elem_fields = plan.elem_fields
-    # rec tuple layout (one per declared label, keyed by its mode label)
+    # rec list layout (one per declared label, keyed by its mode label)
     # 0 str label  1 matcher rows  2 matcher acceptance  3 matcher
-    # 4 declared (live order)  5 set-valued  6 run regex  7 run count
-    # tokens
+    # 4 declared (live order)  5 set-valued  6 run match (None until the
+    # first run attempt)  7 run pattern (None: no run path)  8 run count
+    # tokens  9 column attribute names (None: a Σ-irrelevant run)
     LABELS = {}
     for slabel, lp in plan.labels.items():
         if as_bytes and not slabel.isascii():
             continue  # the bytes scanner only ever sees ASCII input
         m = plan.matchers[slabel]
         text_ok = runs.get(slabel)
-        if text_ok is None:
-            run_re, run_tokens = None, ()
-        else:
+        names = plan.columns.get(slabel)
+        pattern, run_tokens = None, ()
+        if text_ok is not None:
             pattern, tokens = _run_pattern(slabel, text_ok, ws)
-            run_re, run_tokens = R(pattern), tuple(M(t) for t in tokens)
-        LABELS[M(slabel)] = (
+            run_tokens = tuple(M(t) for t in tokens)
+        elif names is not None and (
+                not as_bytes or all(n.isascii() for n in names)):
+            # (an element carrying a non-ASCII attribute name never
+            # reaches the bytes scanner)
+            pattern = _column_pattern(slabel, names, ws)
+        LABELS[M(slabel)] = [
             slabel, m.rows, m.accepting, m,
-            lp.declared_attrs, lp.set_valued, run_re, run_tokens)
+            lp.declared_attrs, lp.set_valued, None, pattern, run_tokens,
+            names]
     LT = M("<")
     AMP = M("&")
     NL = M("\n")
@@ -220,6 +274,7 @@ def _scanner(plan, runs, *, as_bytes):
         structural = rs.structural
         index_vertex = rs.index.index_vertex
         feeds = rs.feeds
+        columns = rs.columns
         stack = []
         # frame layout: 0 mode label  1 str label  2 vid  3 matcher rows
         # 4 state  5 viable  6 dead state  7 vertex  8 wants  9 texts
@@ -230,6 +285,7 @@ def _scanner(plan, runs, *, as_bytes):
         pending = []  # non-blank text chunks: (raw, pos, cooked or None)
         next_vid = 0
         n_skipped = 0
+        n_column = 0
         root_seen = False
 
         count = getattr(buf, "count", None)
@@ -273,6 +329,36 @@ def _scanner(plan, runs, *, as_bytes):
                     top[9].append(dec(chunk) if cooked is None else cooked)
             pending.clear()
 
+        def advance(parent, sym, cnt):
+            # step the parent's content model over ``cnt`` children
+            # ``sym`` (a run): once a state repeats, the steps are
+            # periodic and the rest are all live
+            state = parent[4]
+            if state is None:
+                return
+            trans = parent[3]
+            seen = {}
+            k = 0
+            while k < cnt:
+                at = seen.get(state)
+                if at is not None:
+                    for _ in range((cnt - k) % (k - at)):
+                        state = trans[state][sym]
+                    break
+                seen[state] = k
+                nxt = trans[state].get(sym)
+                if nxt is None:
+                    nxt = parent[10][3].step(state, sym)
+                if nxt is None:
+                    parent[6] = state
+                    parent[4] = None
+                    parent[5] += k
+                    return
+                state = nxt
+                k += 1
+            parent[4] = state
+            parent[5] += cnt
+
         def start_tag_error(p):
             # the one-regex match rejected the tag at ``p``: replay it
             # attribute by attribute for the tokenizer's located error
@@ -304,51 +390,38 @@ def _scanner(plan, runs, *, as_bytes):
             if m is not None:
                 label, span, slash = m.groups()
                 rec = labels.get(label)
-                if stack and rec is not None and rec[6] is not None:
-                    # a run of Σ-irrelevant leaves: consume up to
-                    # RUN_MAX of them
-                    sm = rec[6].match(buf, m.start(1) - 1)
+                if stack and rec is not None and rec[7] is not None:
+                    # a run of Σ-irrelevant or column leaves: consume up
+                    # to RUN_MAX of them
+                    run = rec[6]
+                    if run is None:
+                        run = rec[6] = R(rec[7]).match
+                    sm = run(buf, m.start(1) - 1)
                     if sm is not None:
                         if pending:
                             flush()
                         start, end = sm.span()
-                        cnt = 0
-                        for tok in rec[7]:
-                            cnt += count(tok, start, end)
-                        parent = stack[-1]
-                        state = parent[4]
-                        if state is not None:
-                            trans = parent[3]
-                            sym = rec[0]
-                            seen = {}
-                            k = 0
-                            while k < cnt:
-                                at = seen.get(state)
-                                if at is not None:
-                                    # periodic: remaining steps all live
-                                    rem = (cnt - k) % (k - at)
-                                    for _ in range(rem):
-                                        state = trans[state][sym]
-                                    k = cnt
-                                    break
-                                seen[state] = k
-                                nxt = trans[state].get(sym)
-                                if nxt is None:
-                                    nxt = parent[10][3].step(state, sym)
-                                if nxt is None:
-                                    parent[6] = state
-                                    state = None
-                                    break
-                                state = nxt
-                                k += 1
-                            if state is None:
-                                parent[4] = None
-                                parent[5] += k
+                        names = rec[9]
+                        if names is None:
+                            cnt = 0
+                            for tok in rec[8]:
+                                cnt += count(tok, start, end)
+                            n_skipped += cnt
+                        else:
+                            values = _VALUE_FIND(dec(buf[start:end]))
+                            k = len(names)
+                            if k == 1:
+                                cnt = len(values)
+                                cols = {names[0]: values}
                             else:
-                                parent[4] = state
-                                parent[5] += cnt
+                                cnt = len(values) // k
+                                cols = {name: values[j::k]
+                                        for j, name in enumerate(names)}
+                            for feed in columns[rec[0]]:
+                                feed(next_vid, cnt, cols)
+                            n_column += cnt
+                        advance(stack[-1], rec[0], cnt)
                         next_vid += cnt
-                        n_skipped += cnt
                         pos = end
                         continue
                 slabel = rec[0] if rec is not None else dec(label)
@@ -576,6 +649,7 @@ def _scanner(plan, runs, *, as_bytes):
                 f"unclosed element <{stack[-1][1]}> at end of input")
         rs.next_vid = next_vid
         rs.n_skipped = n_skipped
+        rs.n_column = n_column
         return rs.finish()
 
     return scan
@@ -669,10 +743,13 @@ class RunState:
       attribute-only ``L``/``L_u`` keys and foreign keys, ID
       constraints and ID references.  At each start tag the scanner
       calls the feeds :attr:`feeds` lists for its label with the vid
-      and the attribute map; nothing of the element is retained.  One
-      :class:`~repro.codegen.kernels.IDOwners` table per document,
-      fed at every ID-bearing start tag, serves every ID kernel.
-      Foreign keys and ID clashes resolve here, in :meth:`finish`.
+      and the attribute map, and at each column run the feeds
+      :attr:`columns` lists with the run's first vid, its length and
+      its attribute values as columns; nothing of the element is
+      retained.  One :class:`~repro.codegen.kernels.IDOwners` table
+      per document, fed at every ID-bearing start tag or run, serves
+      every ID kernel.  Foreign keys and ID clashes resolve here, in
+      :meth:`finish`.
     - **evaluators** check the rest — §3.4 sub-element fields,
       inverses and static violations — with the calls the batch
       checker makes: one ``full()`` per document
@@ -696,9 +773,9 @@ class RunState:
       state held at the first dead transition reproduces the
       ``prefix_length`` / ``expected_after`` diagnostics without ever
       buffering the child word;
-    - **kernels** see start tags in vid order, so their groups,
-      sources and ID owners are already in the order a batch
-      ``full()`` emits them;
+    - **kernels** see start tags and column runs in vid order, so
+      their groups, sources and ID owners are already in the order a
+      batch ``full()`` emits them;
     - **evaluators** run batch's own ``full()`` over extensions that
       list the vertices batch's index lists, in the same order, with
       the same attribute values and sub-element texts;
@@ -715,7 +792,7 @@ class RunState:
     """
 
     __slots__ = ("plan", "obs", "structural", "index", "evaluators",
-                 "feeds", "next_vid", "n_skipped")
+                 "feeds", "columns", "next_vid", "n_skipped", "n_column")
 
     def __init__(self, plan, obs=None):
         self.plan = plan
@@ -736,13 +813,24 @@ class RunState:
         self.feeds = feeds = {
             label: tuple(evaluators[i].feeds[role] for i, role in sites)
             for label, sites in plan.feeds.items()}
+        #: column label -> the column feeds a run of that label runs,
+        #: in the order of :attr:`feeds`
+        self.columns = columns = {
+            label: tuple(evaluators[i].columns[role]
+                         for i, role in plan.feeds.get(label, ()))
+            for label in plan.columns}
         if owners is not None:
             for label, feed in owners.feeds.items():
                 feeds[label] = (feed, *feeds.get(label, ()))
+            for label, column in owners.columns.items():
+                if label in columns:
+                    columns[label] = (column, *columns[label])
         self.next_vid = 0
         #: elements admitted through the Σ-irrelevant run fast path
         #: (never individually materialized)
         self.n_skipped = 0
+        #: elements fed to the kernels through column runs
+        self.n_column = 0
 
     def flush_region(self) -> None:
         """Run every evaluator-path constraint's ``full()`` pass over the
@@ -790,6 +878,9 @@ class RunState:
         obs.counter("codegen_skipped_elements",
                     help="elements admitted through the codegen "
                     "sigma-irrelevant run fast path").add(self.n_skipped)
+        obs.counter("codegen_column_elements",
+                    help="elements fed to the codegen constraint kernels "
+                    "through column runs").add(self.n_column)
         for label, members in self.index._ext.items():
             obs.counter("codegen_dispatch_vertices", {"label": label},
                         help="retained vertices the codegen engine's "

@@ -30,6 +30,7 @@ from typing import Iterable, Optional, Union
 from repro import engines as _engines
 from repro.corpus.cache import ResultCache, result_key, result_key_bytes
 from repro.corpus.report import CorpusReport, DocumentVerdict
+from repro.corpus.worker import _STATE as _WORKER_STATE
 from repro.corpus.worker import init_worker, stream_chunk, validate_chunk
 from repro.obs import NULL_OBS, TraceContext, activate, current_context
 from repro.datamodel.tree import DataTree
@@ -341,6 +342,10 @@ class CorpusValidator:
         initargs = (self.dtd, collect_obs, plan, self.fingerprint,
                     traceparent)
         if self.jobs == 1:
+            if plan is not None:
+                # in-process, the worker runs the handle's own scanners
+                # (init_worker keeps a compiled schema of the same plan)
+                _WORKER_STATE["compiled"] = self.handle.codegen
             init_worker(*initargs)
             return [worker(chunk) for chunk in chunks]
         import multiprocessing

@@ -35,12 +35,12 @@ from __future__ import annotations
 import os
 from typing import Optional, Sequence
 
-from repro.corpus.cache import result_key, result_key_bytes, \
-    schema_fingerprint
+from repro.corpus.cache import result_key_bytes, schema_fingerprint
 from repro.dtd.dtdc import DTDC
 from repro.dtd.validate import validate
 from repro.errors import ReproError
 from repro.obs import Observability, activate, parse_traceparent
+from repro.xmlio import encode_document
 from repro.xmlio.parser import parse_document
 
 __all__ = ["init_worker", "stream_chunk", "stream_docs", "validate_chunk",
@@ -92,10 +92,12 @@ def stream_docs(entries: "list[tuple[str, str, str]]", compiled,
     bytes for the cache key during the same read) or ``"text"``.  The
     verdicts are :func:`validate_docs`'s, with one addition: each
     carries its ``"key"`` so the coordinator can fill in keys it chose
-    not to compute up front.  Merge aggregates come from the finished
-    run that produced the verdict (``sv.last_run``): the ``L_id``
-    kernels' state, or an evaluator's where the constraint stays on one
-    (an ``IDInverse``, a sub-element reference).
+    not to compute up front.  A text's is None: every coordinator keys
+    the text it ships (:func:`~repro.corpus.validator.prepare_entries`).
+    Merge aggregates come from the finished run that produced the
+    verdict (``sv.last_run``): the ``L_id`` kernels' state, or an
+    evaluator's where the constraint stays on one (an ``IDInverse``, a
+    sub-element reference).
     """
     from repro.codegen import CodegenValidator
     from repro.shard.aggregates import aggregates_of
@@ -112,7 +114,9 @@ def stream_docs(entries: "list[tuple[str, str, str]]", compiled,
                 key = result_key_bytes(data, fingerprint)
                 report = sv.validate_bytes(data)
             else:
-                key = result_key(value, fingerprint)
+                if not value.isascii():
+                    # a lone surrogate is this text's located error
+                    encode_document(value)
                 report = sv.validate_text(value)
             verdict = {"doc": doc_id, "key": key, "error": None}
             if merge:

@@ -129,6 +129,10 @@ class DTDStructure:
         """``Att(element)``: the declared attribute names."""
         return frozenset(self._attributes.get(element, ()))
 
+    def attribute_order(self, element: str) -> tuple[str, ...]:
+        """``Att(element)`` in the order the attributes were declared."""
+        return tuple(self._attributes.get(element, ()))
+
     def has_attribute(self, element: str, attribute: str) -> bool:
         """Whether ``R(element, attribute)`` is defined."""
         return attribute in self._attributes.get(element, ())

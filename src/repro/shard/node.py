@@ -153,11 +153,23 @@ class SubprocessNode(ShardNode):
             f"(exit status {status}; {detail})")
 
     def close(self) -> None:
-        if self.proc.poll() is None:
-            try:
-                if self.proc.stdin is not None:
-                    self.proc.stdin.close()  # EOF: clean shutdown
-                self.proc.wait(timeout=10)
-            except (OSError, subprocess.TimeoutExpired):
-                self.proc.kill()
-                self.proc.wait(timeout=10)
+        """Shut the node down (EOF, then a kill if it lingers) and close
+        both pipes, whether it exited cleanly, was killed or had already
+        died."""
+        proc = self.proc
+        try:
+            if proc.poll() is None:
+                try:
+                    if proc.stdin is not None:
+                        proc.stdin.close()  # EOF: clean shutdown
+                    proc.wait(timeout=10)
+                except (OSError, subprocess.TimeoutExpired):
+                    proc.kill()
+                    proc.wait(timeout=10)
+        finally:
+            for pipe in (proc.stdin, proc.stdout):
+                if pipe is not None:
+                    try:
+                        pipe.close()
+                    except BrokenPipeError:  # unflushed writes, dead node
+                        pass

@@ -27,6 +27,16 @@ its per-constraint counters must equal batch's, and the merge
 aggregates its run exports must equal those
 :func:`~repro.shard.aggregates.extract_aggregates` builds from the
 parsed document.
+
+Runs of a column label (a kernel-fed leaf whose read attributes are all
+declared and single-valued) reach the kernels as columns, one regex
+match per :data:`~repro.codegen.runtime.RUN_MAX` elements; a second
+oracle draws runs of such labels across the match boundaries and
+mutates single tags so that the pattern rejects them (another order,
+single quotes, entities, a missing or extra attribute, ``></e>``, text
+or a comment in the run) or keeps them (a line break inside the tag),
+and plants duplicate keys, ID clashes and dangling references at a
+run's first, :data:`RUN_MAX`-th and last position.
 """
 
 import json
@@ -38,6 +48,7 @@ from hypothesis import strategies as st
 
 from repro.cli.main import main
 from repro.codegen import CodegenValidator
+from repro.codegen.runtime import RUN_MAX, RunState
 from repro.constraints.base import Field
 from repro.constraints.lang_l import ForeignKey, Key
 from repro.constraints.lang_lid import (
@@ -54,7 +65,7 @@ from repro.obs import Observability
 from repro.server.registry import as_handle
 from repro.shard.aggregates import aggregates_of, extract_aggregates
 from repro.shard.locality import Locality, classify_sigma
-from repro.workloads.generators import registry_schema
+from repro.workloads.generators import library_schema, registry_schema
 from repro.xmlio.dtdparse import serialize_dtdc
 from repro.xmlio.parser import parse_document
 
@@ -333,3 +344,246 @@ class TestIDClashOrder:
             verdicts[engine] = json.loads(
                 capsys.readouterr().out)["verdicts"]
         assert verdicts["auto"] == verdicts["batch"]
+
+
+# -- column runs ----------------------------------------------------------
+
+
+def _column_structure(three: bool) -> DTDStructure:
+    """``e`` and ``r`` leaves in any order, between Σ-irrelevant ``x``
+    items: ``e`` declares ``k`` and the ID ``oid`` (and, with
+    ``three``, ``m`` first, out of sorted order), ``r`` the IDREF
+    ``to``."""
+    s = DTDStructure("db")
+    s.define_element("db", "(e | r | x)*")
+    s.define_element("e", "EMPTY")
+    s.define_element("r", "EMPTY")
+    s.define_element("x", "(#PCDATA)?")
+    if three:
+        s.define_attribute("e", "m")
+    s.define_attribute("e", "k")
+    s.define_attribute("e", "oid", kind="ID")
+    s.define_attribute("r", "to", kind="IDREF")
+    return s
+
+
+COLUMN_STRUCTURES = {False: _column_structure(False),
+                     True: _column_structure(True)}
+
+#: kernel-class constraints over ``e`` and ``r``; those naming ``m``
+#: are drawn only under the three-attribute ``e``
+COLUMN_POOL = [
+    UnaryKey("e", F("k")),
+    UnaryKey("e", F("oid")),
+    UnaryKey("r", F("to")),
+    Key("e", (F("k"), F("oid"))),
+    UnaryForeignKey("r", F("to"), "e", F("k")),
+    UnaryForeignKey("e", F("k"), "e", F("oid")),        # self-referencing
+    ForeignKey("r", (F("to"),), "e", (F("oid"),)),
+    SetValuedForeignKey("r", F("to"), "e", F("k")),
+    IDConstraint("e"),
+    IDForeignKey("r", F("to"), "e"),
+    IDSetValuedForeignKey("r", F("to"), "e"),
+]
+COLUMN_POOL_M = [
+    Key("e", (F("m"), F("k"))),
+    ForeignKey("e", (F("m"),), "e", (F("k"),)),
+]
+
+#: run lengths on both sides of every match boundary
+RUN_LENGTHS = [1, 2, RUN_MAX - 1, RUN_MAX, RUN_MAX + 1, 2 * RUN_MAX + 3]
+
+#: single-tag edits: the pattern rejects all but ``newline``; ``dup``
+#: plants a duplicate key and ID (``e``) or a dangling reference (``r``)
+MUTATIONS = ["order", "single", "amp", "charref", "missing", "extra",
+             "open", "newline", "comment", "text", "dup"]
+
+
+def _column_text(three, runs, mutations) -> str:
+    """A ``db`` document of ``runs`` (``(label, length)``), each element
+    written as the run pattern takes it, then edited at ``(run, where,
+    mutation)``: ``where`` 0 is the run's first element, 1 its
+    :data:`RUN_MAX`-th (when it has one), 2 its last."""
+    elements = []  # [label, [[name, value, quote]], closing, before]
+    starts = []
+    for label, length in runs:
+        starts.append(len(elements))
+        for _ in range(length):
+            n = len(elements)
+            if label == "e":
+                attrs = [["k", f"k{n}", '"'], ["oid", f"o{n}", '"']]
+                if three:
+                    attrs.insert(0, ["m", f"m{n % 3}", '"'])
+            elif label == "r":
+                attrs = [["to", f"o{(n * 7) % max(1, n)}", '"']]
+            else:
+                attrs = []
+            elements.append([label, attrs, "/>", ""])
+    for run, where, mutation in mutations:
+        run %= len(runs)
+        length = runs[run][1]
+        offset = min((0, RUN_MAX, length - 1)[where], length - 1)
+        element = elements[starts[run] + offset]
+        label, attrs = element[0], element[1]
+        if (label == "x" or not attrs) and mutation not in (
+                "comment", "text", "open"):
+            continue
+        if mutation == "order":
+            attrs.reverse()
+        elif mutation == "single":
+            attrs[0][2] = "'"
+        elif mutation == "amp":
+            attrs[-1][1] += "&amp;"
+        elif mutation == "charref":
+            attrs[0][1] = "&#x41;"
+        elif mutation == "missing":
+            attrs.pop()
+        elif mutation == "extra" and attrs[-1][0] != "zz":
+            attrs.append(["zz", "1", '"'])
+        elif mutation == "open":
+            element[2] = f"></{label}>"
+        elif mutation == "newline":
+            attrs[0][0] = "\n" + attrs[0][0].lstrip()
+        elif mutation == "comment":
+            element[3] = "<!-- c -->"
+        elif mutation == "text":
+            element[3] = "t"
+        elif mutation == "dup" and label == "e":
+            # the first e's key and ID
+            for attr in attrs:
+                attr[1] = "m0" if attr[0] == "m" else f"{attr[0][0]}0"
+        elif mutation == "dup":
+            attrs[0][1] = "ghost"
+    parts = ["<db>"]
+    for label, attrs, closing, before in elements:
+        parts.append(before)
+        if label == "x":
+            parts.append("<x>p</x>")
+        else:
+            tag = "".join(f" {name}={quote}{value}{quote}"
+                          for name, value, quote in attrs)
+            parts.append(f"<{label}{tag}{closing}")
+        parts.append("\n")
+    parts.append("</db>")
+    return "".join(parts)
+
+
+column_sigmas = st.tuples(
+    st.booleans(),
+    st.lists(st.sampled_from(COLUMN_POOL + COLUMN_POOL_M), min_size=1,
+             max_size=5, unique=True))
+column_runs = st.lists(
+    st.tuples(st.sampled_from(["e", "e", "r", "x"]),
+              st.sampled_from(RUN_LENGTHS)), min_size=1, max_size=4)
+column_mutations = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 2),
+              st.sampled_from(MUTATIONS)), max_size=3)
+
+
+class TestColumnRuns:
+    """Column runs against batch: reports over text, bytes and a mapped
+    file, the per-constraint counters and the exported merge
+    aggregates."""
+
+    @given(column_sigmas, column_runs, column_mutations)
+    @settings(max_examples=100, deadline=None)
+    def test_column_runs_match_batch(self, sigma, runs, mutations):
+        three, constraints = sigma
+        if not three:
+            constraints = [c for c in constraints
+                           if c not in COLUMN_POOL_M] or [COLUMN_POOL[0]]
+        structure = COLUMN_STRUCTURES[three]
+        dtd = DTDC(structure, constraints, check=False)
+        text = _column_text(three, runs, mutations)
+        cg = CodegenValidator(as_handle(dtd))
+        assert set(cg.compiled.plan.columns) <= {"e", "r"}
+        assert all(spec is not None for spec in cg.compiled.plan.kernels)
+
+        tree = parse_document(text, structure)
+        batch_obs = Observability()
+        batch = validate(tree, dtd, obs=batch_obs).to_json()
+        assert cg.validate_text(text).to_json() == batch
+        assert cg.validate_bytes(text.encode("utf-8")).to_json() == batch
+        assert _path_json(cg, text) == batch
+
+        cg_obs = Observability()
+        counted = CodegenValidator(cg.compiled, obs=cg_obs)
+        counted.validate_text(text)
+        for name in COUNTERS:
+            assert cg_obs.metrics.values(name) \
+                == batch_obs.metrics.values(name), name
+        merge = classify_sigma(dtd)[Locality.MERGE]
+        assert aggregates_of(counted.last_run.evaluators, merge) \
+            == extract_aggregates(dtd, tree)
+
+    def test_column_labels(self):
+        """``e`` and ``r`` are column labels; ``x`` (Σ-irrelevant) and
+        the root are not, and no run pattern is built for the root."""
+        dtd = DTDC(COLUMN_STRUCTURES[True],
+                   [Key("e", (F("m"), F("k"))), IDForeignKey(
+                       "r", F("to"), "e")], check=False)
+        compiled = CodegenValidator(as_handle(dtd)).compiled
+        assert compiled.plan.columns == {"e": ("m", "k", "oid"),
+                                         "r": ("to",)}
+        assert compiled.runs == {"x": True}
+
+    def test_parent_content_model_counts_run_children(self):
+        """A column run steps its parent's content model once per
+        element: with ``n`` refs before the entries, ``(entry*, ref*)``
+        is stuck after ``n`` children, as batch reports it."""
+        dtd = library_schema()
+        cg = CodegenValidator(as_handle(dtd))
+        for n in RUN_LENGTHS:
+            text = ("<library>" + '<ref to="i0"/>\n' * n
+                    + '<entry isbn="i0" shelf="s"/>' * 2 + "</library>")
+            batch = validate(parse_document(text, dtd.structure),
+                             dtd).to_json()
+            assert f"stuck after {n} child(ren)" in batch
+            assert cg.validate_text(text).to_json() == batch
+            assert cg.validate_bytes(text.encode()).to_json() == batch
+            assert cg.last_run.n_column == n + 2
+
+    @staticmethod
+    def _library_text(n_entries: int, n_refs: int, swap: int = -1) -> str:
+        entries = [f'<entry isbn="i{i}" shelf="s{i % 7}"/>'
+                   if i != swap else f'<entry shelf="s{i % 7}" isbn="i{i}"/>'
+                   for i in range(n_entries)]
+        refs = [f'<ref to="i{(i * 13) % n_entries}"/>'
+                for i in range(n_refs)]
+        return "<library>\n" + "\n".join(entries + refs) + "\n</library>"
+
+    def test_column_counter_counts_the_fast_path(self):
+        """600 entries take three matches (256 + 256 + 88) and the refs
+        one more; with one entry's attributes swapped, that entry takes
+        the per-tag path, and the report does not change."""
+        dtd = library_schema()
+        compiled = CodegenValidator(as_handle(dtd)).compiled
+        text = self._library_text(600, 40)
+        matches = []
+
+        def recorded(label, feed):
+            def column(vid, count, columns):
+                matches.append((label, count))
+                feed(vid, count, columns)
+            return column
+
+        rs = RunState(compiled.plan)
+        rs.columns = {label: (recorded(label, first), *rest)
+                      for label, (first, *rest) in rs.columns.items()}
+        compiled.scan_str(text, rs)
+        assert matches == [("entry", 256), ("entry", 256), ("entry", 88),
+                           ("ref", 40)]
+
+        reports = {}
+        for swap in (-1, 300):
+            obs = Observability()
+            text = self._library_text(600, 40, swap)
+            report = CodegenValidator(compiled, obs=obs).validate_text(text)
+            reports[swap] = report.to_json()
+            assert reports[swap] == validate(
+                parse_document(text, dtd.structure), dtd).to_json()
+            assert obs.metrics.values("codegen_column_elements") \
+                == {(): 640 - (swap >= 0)}
+            assert obs.metrics.values("codegen_skipped_elements") \
+                == {(): 0}
+        assert reports[-1] == reports[300]

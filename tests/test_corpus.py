@@ -465,6 +465,27 @@ class TestStreamingCorpus:
         strm = Validator(dtd).check_corpus(docs, engine="codegen")
         assert batch.verdicts_json() == strm.verdicts_json()
 
+    def test_serial_run_builds_scanners_once(self, monkeypatch):
+        """An in-process (``jobs=1``) run validates on its schema
+        handle's scanners instead of building a second copy from the
+        plan."""
+        from repro.codegen import engine as engine_mod
+        from repro.workloads import federated_corpus
+
+        builds = []
+        scanners = engine_mod.scanners
+
+        def counted(*args):
+            builds.append(args)
+            return scanners(*args)
+
+        monkeypatch.setattr(engine_mod, "scanners", counted)
+        dtd, trees = federated_corpus(n_docs=4, seed=3)
+        report = CorpusValidator(dtd, jobs=1, engine="codegen").validate(
+            [(f"d{i}", serialize(t)) for i, t in enumerate(trees)])
+        assert len(report) == 4
+        assert len(builds) == 1
+
 
 class TestCorpusObservability:
     def test_worker_metrics_merge(self, library):

@@ -402,6 +402,31 @@ class TestSinglePassNodes:
         assert ([v.to_dict() for v in report.corpus_violations],
                 report.merge_stats) == _serial_fold(dtd, docs)
 
+    def test_text_is_keyed_once(self, federation, monkeypatch):
+        """The coordinator keys each text document it ships; the node
+        does not hash it again."""
+        import repro.corpus.cache as cache_mod
+        import repro.corpus.validator as validator_mod
+        import repro.corpus.worker as worker_mod
+
+        keyed = []
+        result_key = cache_mod.result_key
+
+        def counted(*args):
+            keyed.append(args)
+            return result_key(*args)
+
+        for module in (cache_mod, validator_mod, worker_mod):
+            monkeypatch.setattr(module, "result_key", counted,
+                                raising=False)
+        dtd, trees = federation
+        docs = _pairs(trees, "f")
+        with ShardedCorpusValidator(dtd, shards=2,
+                                    engine="codegen") as sv:
+            report = sv.validate(docs)
+        assert len(report.verdicts) == len(docs)
+        assert len(keyed) == len(docs)
+
     def test_node_builds_its_scanners_once(self, federation, monkeypatch):
         """A node runs ``check-shard`` on its schema handle's scanners:
         two requests build them once."""
@@ -494,6 +519,38 @@ class TestNodes:
         node.close()
         assert node.proc.returncode is not None
         node.close()  # idempotent
+
+    @pytest.mark.parametrize("end", ["clean", "killed", "dead"])
+    def test_subprocess_close_closes_its_pipes(self, end):
+        """``close`` closes both pipes after a clean exit, after a kill
+        and when the node had already died: collecting the node warns
+        of no unclosed file."""
+        import gc
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            node = SubprocessNode()
+            if end == "killed":
+                wait = node.proc.wait
+                waits = []
+
+                def slow_wait(timeout=None):
+                    waits.append(timeout)
+                    if len(waits) == 1:  # the EOF wait times out
+                        raise subprocess.TimeoutExpired("node", timeout)
+                    return wait(timeout=timeout)
+
+                node.proc.wait = slow_wait
+            elif end == "dead":
+                node.proc.kill()
+                node.proc.wait()
+            node.close()
+            assert node.proc.stdout.closed and node.proc.stdin.closed
+            del node
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 #: a node that loads the schema, then reads the next request and exits
