@@ -35,7 +35,10 @@ files, whose Σ (a §3.4 sub-element key and an ID inverse) stays on
 the evaluators; it sets no speed bar.  It checks by count that the
 kernel-fed files take codegen's column runs: ``codegen_column_elements``
 equals the number of non-root elements on every library and registry
-file, and 0 on every club file.
+file, and 0 on every club file.  On every feed document, in every input
+form, it checks that both run kinds are taken: every ``item`` is counted
+in ``codegen_skipped_elements`` and the whole keyed tail in
+``codegen_column_elements``.
 
 Run styles::
 
@@ -94,7 +97,12 @@ def _corpus_texts(n_docs: int = 100, seed: int = 0):
     return dtd, [serialize(doc) for doc in docs]
 
 
-def _feed_doc(n_items: int, n_keyed: int = 50) -> str:
+#: the keyed tail of a feed document: this many ``entry`` and as many
+#: ``ref`` elements
+FEED_KEYED = 50
+
+
+def _feed_doc(n_items: int, n_keyed: int = FEED_KEYED) -> str:
     """A document whose bulk is Σ-irrelevant: ``n_items`` text-carrying
     ``item`` elements, then a fixed keyed/referencing tail."""
     parts = ["<feed>"]
@@ -162,6 +170,26 @@ def _feed(directory: str, *n_items: int):
     cg = CodegenValidator(as_handle(parse_dtdc(FEED_SCHEMA)))
     return cg, [_Inputs([_feed_doc(n)], os.path.join(directory, str(n)))
                 for n in n_items]
+
+
+def _feed_off_path(cg: CodegenValidator, sized) -> int:
+    """How many of the feed documents ``sized`` (``(n_items, inputs)``
+    pairs, one document per :class:`_Inputs`) leave either run kind in
+    some input form: every ``item`` must take a run without columns
+    (``codegen_skipped_elements == n_items``), and every ``entry`` and
+    ``ref`` a run with columns (``codegen_column_elements`` is the
+    whole keyed tail)."""
+    off = 0
+    for n_items, inputs in sized:
+        for form in FORMS:
+            obs = Observability()
+            (call,) = inputs.calls(
+                CodegenValidator(cg.compiled, obs=obs), form)
+            call()
+            off += (obs.metrics.total("codegen_skipped_elements"),
+                    obs.metrics.total("codegen_column_elements")) \
+                != (n_items, 2 * FEED_KEYED)
+    return off
 
 
 def _mkdirs(directory: str, *names) -> str:
@@ -322,6 +350,15 @@ def test_e23_club_files_stay_on_evaluators():
     assert codes == {"key", "inverse"}
 
 
+def test_e23_feed_takes_both_run_kinds(tmp_path):
+    """Acceptance: on the 1k- and 8k-item feeds, in every input form,
+    every item takes a run without columns and the keyed tail runs with
+    columns."""
+    sizes = (1_000, 8_000)
+    cg, inputs = _feed(_mkdirs(str(tmp_path), *sizes), *sizes)
+    assert _feed_off_path(cg, zip(sizes, inputs)) == 0
+
+
 def _tokenize(text: str) -> None:
     for _token in Tokenizer(text).tokens():
         pass
@@ -420,8 +457,10 @@ def _report_in(directory: str, n_docs: int, smoke: bool) -> int:
                              [call() for call in calls])
               for form in FORMS}
 
-    fcg, (small, large, big) = _feed(
-        _mkdirs(directory, 1_000, 8_000, 10_000), 1_000, 8_000, 10_000)
+    feed_sizes = (1_000, 8_000, 10_000)
+    fcg, feeds = _feed(_mkdirs(directory, *feed_sizes), *feed_sizes)
+    small, large, big = feeds
+    feed_off_path = _feed_off_path(fcg, zip(feed_sizes, feeds))
     feed_dtd = fcg.compiled.plan.dtd
     text_10k = big.texts[0]
     _batch(feed_dtd, text_10k)
@@ -462,6 +501,9 @@ def _report_in(directory: str, n_docs: int, smoke: bool) -> int:
     print(f"E23 codegen: 8k-item feed, tokenizer pass "
           f"{tokenize * 1e3:.1f} ms vs codegen bytes "
           f"{feed_codegen * 1e3:.1f} ms ({speedup:.1f}x)")
+    print(f"E23 feed runs: {feed_off_path} feed document view(s) with an "
+          f"item off the runs without columns or a keyed element off the "
+          f"column runs")
     print(f"E23 dense: {dense_files} library and registry (kernel) and "
           f"club (evaluator) files of 60 and 2000 vertices via mmap, "
           f"{dense_mismatches} codegen/batch mismatch(es), "
@@ -469,6 +511,7 @@ def _report_in(directory: str, n_docs: int, smoke: bool) -> int:
 
     ok = (not any(mismatches.values()) and feed_equal
           and dense_mismatches == 0 and dense_off_path == 0
+          and feed_off_path == 0
           and speedup >= 5.0
           and all(p8k < 4 * p1k and p10k < 0.5 * batch_peak
                   for p1k, p8k, p10k in peaks.values()))
@@ -488,7 +531,8 @@ if __name__ == "__main__":
     cli.add_argument("--smoke", action="store_true",
                      help="CI mode: byte-identity of codegen's text, "
                      "bytes and path input (corpus, sparse feed and "
-                     "dense files), the peak-memory guards and the "
+                     "dense files), the run-path counts on the feed and "
+                     "dense files, the peak-memory guards and the "
                      ">= 5x tokenizer bar; no batch throughput threshold")
     cli.add_argument("--docs", type=int, default=100,
                      help="corpus size (default: 100)")

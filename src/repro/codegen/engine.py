@@ -4,7 +4,9 @@
 objects: it builds the scanners of :mod:`repro.codegen.runtime`
 in-process from a compiled :class:`~repro.codegen.plan.StreamPlan` —
 once per :class:`~repro.server.registry.SchemaHandle` (memoized on
-``handle.codegen``) and once per corpus worker process.
+``handle.codegen``) and once per corpus worker process.  The run labels
+it carries are the plan's (:attr:`~repro.codegen.plan.StreamPlan.runs`),
+decided once per schema, and every run pattern is built from them.
 :class:`CodegenValidator` is the document-facing wrapper with the
 ``validate``/``validate_text``/``validate_path`` surface, plus the
 zero-copy ``validate_bytes``/``mmap`` file path: pure-ASCII input
@@ -21,9 +23,9 @@ from __future__ import annotations
 import mmap
 import os
 
-from repro.codegen.runtime import RunState, run_labels, scanners
+from repro.codegen.runtime import RunState, scanners
 from repro.obs import NULL_OBS
-from repro.xmlio import decode_document
+from repro.xmlio import decode_document, encode_document
 
 __all__ = ["CodegenValidator", "CompiledSchema", "compile_schema"]
 
@@ -49,12 +51,12 @@ class CompiledSchema:
 
     __slots__ = ("fingerprint", "runs", "plan", "scan_str", "scan_bytes")
 
-    def __init__(self, fingerprint: str, runs: "dict[str, bool]", plan,
+    def __init__(self, fingerprint: str,
+                 runs: "dict[str, tuple[tuple[str, ...], bool]]", plan,
                  scan_str, scan_bytes):
         self.fingerprint = fingerprint
-        #: the Σ-irrelevant labels whose runs take the scanners' fast
-        #: path (:func:`~repro.codegen.runtime.run_labels`); the
-        #: kernel-fed ones are ``plan.columns``
+        #: the labels whose runs take the scanners' run path
+        #: (:attr:`~repro.codegen.plan.StreamPlan.runs`)
         self.runs = runs
         self.plan = plan
         self.scan_str = scan_str
@@ -68,19 +70,12 @@ class CompiledSchema:
 def compile_schema(plan, fingerprint: str, obs=None) -> CompiledSchema:
     """``plan``'s scanners, built in-process; every schema compiles."""
     obs = obs or NULL_OBS
-    if not obs.enabled:
-        return _compile(plan, fingerprint)
     with obs.span("codegen.compile", fingerprint=fingerprint[:12]):
-        compiled = _compile(plan, fingerprint)
+        compiled = CompiledSchema(fingerprint, plan.runs, plan,
+                                  *scanners(plan))
     obs.counter("codegen_compilations",
                 help="codegen scanner builds").add(1)
     return compiled
-
-
-def _compile(plan, fingerprint: str) -> CompiledSchema:
-    runs = run_labels(plan)
-    scan_str, scan_bytes = scanners(plan, runs)
-    return CompiledSchema(fingerprint, runs, plan, scan_str, scan_bytes)
 
 
 class CodegenValidator:
@@ -115,11 +110,9 @@ class CodegenValidator:
 
     def _run(self, scan, buf):
         """``scan`` over ``buf`` with a fresh :class:`RunState`, under a
-        ``codegen.validate`` span when observability is on."""
+        ``codegen.validate`` span."""
         obs = self.obs
         rs = self.last_run = RunState(self.compiled.plan, obs)
-        if not obs.enabled:
-            return scan(buf, rs)
         with obs.span("codegen.validate", chars=len(buf)) as span:
             report = scan(buf, rs)
             span.set(elements=rs.next_vid, skipped=rs.n_skipped,
@@ -127,22 +120,27 @@ class CodegenValidator:
         return report
 
     def validate_text(self, text: str):
+        """Validate a document held as text; a lone surrogate in it is
+        a located error, as it is where the text is encoded to bytes."""
+        if not text.isascii():
+            encode_document(text)
         return self._run(self.compiled.scan_str, text)
 
     def validate_bytes(self, data):
         """Validate raw document bytes (any other buffer is copied to
-        ``bytes`` once); pure-ASCII input never decodes."""
+        ``bytes`` once); pure-ASCII input never decodes, and decoded
+        UTF-8 holds no surrogate."""
         if type(data) is not bytes:
             data = bytes(data)
         if not _is_ascii(data):
-            return self.validate_text(decode_document(data))
+            return self._run(self.compiled.scan_str, decode_document(data))
         return self._run(self.compiled.scan_bytes, data)
 
     def validate_path(self, path: str):
         """Validate a file via ``mmap`` — the zero-copy path: the kernel
-        pages the document in, the scanner skips Σ-irrelevant runs
-        without decoding, and only start-tag attribute spans, column
-        runs and captured text become strings."""
+        pages the document in, the scanner counts a run without columns
+        without decoding it, and only start-tag attribute spans, runs
+        with columns and captured text become strings."""
         with open(path, "rb") as fh:
             try:
                 mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
@@ -151,5 +149,6 @@ class CodegenValidator:
                 return self.validate_bytes(fh.read())
             with mm:
                 if not _is_ascii(mm):
-                    return self.validate_text(decode_document(mm[:]))
+                    return self._run(self.compiled.scan_str,
+                                     decode_document(mm[:]))
                 return self._run(self.compiled.scan_bytes, mm)

@@ -12,8 +12,8 @@ whose fields are all attributes a *kernel* here; the scanner calls its
 feeds at each start tag of a label it reads, with the vid and the tag's
 unescaped attribute map, so the element is never retained — no
 :class:`~repro.codegen.runtime.StreamVertex`, no value frozensets, no
-index entry.  A run of a column label
-(:attr:`~repro.codegen.plan.StreamPlan.columns`) arrives instead as one
+index entry.  A run of a label the plan maps to its attributes
+(:attr:`~repro.codegen.plan.StreamPlan.runs`) arrives instead as one
 call of the kernel's *column feed* for that role, with the run's first
 vid, its length and ``{attribute: values}``: every row of such a run is
 complete and single-valued.

@@ -33,9 +33,11 @@ to handle each element in O(1):
   (:attr:`StreamPlan.elem_fields`, keyed by every label Σ names such
   a field on, declared or not), so the scanner knows whose text to
   capture;
-- the *column labels* (:attr:`StreamPlan.columns`): kernel-fed leaves
-  whose runs the scanner consumes with one regex match, feeding each
-  kernel the run's attribute values as columns.
+- the *run labels* (:attr:`StreamPlan.runs`): the leaves whose runs the
+  scanner consumes with bounded regex matches, decided once from
+  ``(S, Σ)`` — a kernel-fed leaf maps to its declared attributes, whose
+  values in a run feed each kernel as columns, and a leaf nothing reads
+  maps to ``()``.
 
 A plan is compiled once per schema and is picklable (kernel specs are
 plain data); the matcher table is dropped on ``__getstate__`` and
@@ -267,29 +269,33 @@ class StreamPlan:
 
         self._matchers: dict[str, Matcher] | None = None
 
-        #: labels some content model admits as a child
-        self.admitted: frozenset[str] = frozenset().union(*(
-            self.structure.subelements(label)
-            for label in self.structure.element_types))
-        #: column label -> its declared attributes in declaration order
-        #: (:meth:`_column_labels`)
-        self.columns: dict[str, tuple[str, ...]] = self._column_labels()
+        #: label -> (the attributes its run elements carry, in
+        #: declaration order; whether one text chunk is legal in it), for
+        #: every label whose runs the scanner consumes with one regex
+        #: match per run (:meth:`_runs`)
+        self.runs: dict[str, tuple[tuple[str, ...], bool]] = self._runs()
 
-    def _column_labels(self) -> dict[str, tuple[str, ...]]:
-        """The labels whose runs the scanner may consume with one regex
-        match per run, each mapped to its declared attributes in
-        declaration order.
+    def _runs(self) -> dict[str, tuple[tuple[str, ...], bool]]:
+        """The leaf labels whose runs the scanner may consume with one
+        regex match per run, each mapped to the attributes a run element
+        carries and whether one text chunk is legal in it.
 
-        Such a label is fed to a kernel or the ID owner table, retained
-        by no evaluator, captured as text by no parent, admitted as a
-        child by some content model, and its own content model accepts
-        the empty word; every attribute a kernel or the owner table
-        reads on it is declared on it and single-valued.  An element
-        the run pattern takes (``<L a1="…" a2="…"/>``, exactly the
-        declared attributes) so carries a complete single-valued row
-        for every kernel and no structural violation of its own.
+        Such a label is admitted as a child by some content model,
+        retained by no evaluator and captured as text by no parent, and
+        its own content model accepts the empty word.  Either a kernel
+        or the ID owner table reads it, and every attribute they read
+        on it is declared on it and single-valued: it maps to its
+        declared attributes, and a run element (``<L a1="…" a2="…"/>``,
+        exactly those attributes) carries a complete single-valued row
+        for every kernel, which takes the run's values as columns.  Or
+        nothing reads it and it declares no attributes: it maps to
+        ``()``, and a run element (``<L/>``, ``<L></L>`` and, when text
+        is legal, ``<L>text</L>``) contributes nothing to the report
+        beyond a vid and one parent-DFA step.  Either way an element the
+        run pattern takes has no structural violation of its own.
         """
-        reads: dict[str, set[str]] = {}
+        reads: dict[str, set[str]] = {
+            label: {attr} for label, attr in self.id_owners.items()}
         for spec in self.kernels:
             if spec is None:
                 continue
@@ -298,19 +304,27 @@ class StreamPlan:
             if spec.target:
                 reads.setdefault(spec.target, set()).update(
                     name for name, _split in spec.target_fields)
-        for label, attr in self.id_owners.items():
-            reads.setdefault(label, set()).add(attr)
         s = self.structure
-        return {
-            label: self.labels[label].attr_order
-            for label, names in reads.items()
-            if label in self.labels and label in self.admitted
-            and label not in self.relevant
-            and label not in self.text_fields
-            and self.matchers[label].is_accepting_state(0)
-            and all(s.has_attribute(label, name)
-                    and not s.is_set_valued(label, name)
-                    for name in names)}
+        admitted = frozenset().union(*(
+            s.subelements(label) for label in s.element_types))
+        runs = {}
+        for label, lp in self.labels.items():
+            m = self.matchers[label]
+            if (label not in admitted or label in self.relevant
+                    or label in self.text_fields
+                    or not m.is_accepting_state(0)):
+                continue
+            names = reads.get(label)
+            if names is None:
+                if lp.declared_attrs:
+                    continue
+            elif any(name not in lp.declared_attrs or name in lp.set_valued
+                     for name in names):
+                continue
+            after_text = m.step(0, "S")
+            runs[label] = (lp.attr_order, after_text is not None
+                           and m.is_accepting_state(after_text))
+        return runs
 
     # -- content-model automata (lazy; rebuilt after unpickling) ---------
 

@@ -18,13 +18,12 @@ specialised to the schema:
   (:attr:`~repro.codegen.plan.StreamPlan.feeds`, plus the ID owner
   table's at each ID-bearing label when an ``IDConstraint`` is a
   kernel), called with the vid and the tag's unescaped attribute map;
-- **Σ-irrelevant run labels** (:func:`run_labels`) — labels no
-  constraint watches, with no declared attributes and a text-or-empty
-  content model, whose runs a bounded regex match consumes;
-- **column labels** (:attr:`~repro.codegen.plan.StreamPlan.columns`) —
-  kernel-fed leaves whose runs of ``<L a1="…" a2="…"/>`` a bounded regex
-  match consumes too, each kernel (and the ID owner table) then taking
-  the run's attribute values as columns.
+- **run labels** (:attr:`~repro.codegen.plan.StreamPlan.runs`) —
+  leaves whose runs a bounded regex match consumes: a kernel-fed leaf,
+  whose run elements ``<L a1="…" a2="…"/>`` feed each kernel (and the
+  ID owner table) the run's attribute values as columns, or a leaf no
+  constraint reads, with no attributes and a text-or-empty content
+  model, whose run has no columns.
 
 What a scanner does per construct:
 
@@ -38,20 +37,21 @@ What a scanner does per construct:
   slower on ``bytes``), is replayed attribute by attribute only to
   raise the located error the tokenizer raises;
 - ``<x/>`` is closed inline, without building a stack frame;
-- a run of Σ-irrelevant leaves is consumed :data:`RUN_MAX` elements per
-  regex match, so neither the regex engine's backtracking stack nor the
-  copy an ``mmap`` (which has no ``count``) needs to count a match in
-  grows with the run; the parent DFA advances arithmetically;
-- so is a run of a column label's empty elements that carry exactly
-  its declared attributes, in declaration order, double-quoted and
-  free of ``<``, ``&`` and ``"``: the matched span is decoded once, one
-  ``findall`` yields the run's values in order, and every column feed
-  (:attr:`RunState.columns`) takes them as ``(first vid, count,
-  {attribute: values})``.  A tag the pattern does not take (another
-  order, single quotes, an entity, a missing or extra attribute,
-  ``></L>``, text or a comment in the run) goes to the per-tag path,
-  from that tag on.  Each run pattern is compiled on the scanner's
-  first run attempt for its label, never when the scanner is built;
+- a run of a run label's leaves is consumed :data:`RUN_MAX` elements
+  per regex match, so neither the regex engine's backtracking stack nor
+  the copy an ``mmap`` (which has no ``count``) needs to count a match
+  in grows with the run; the parent DFA advances arithmetically.  A run
+  element carries exactly the label's run attributes, in declaration
+  order, double-quoted and free of ``<``, ``&`` and ``"``.  A run
+  without columns is counted by one ``count`` of ``<L`` over the match.
+  A run with columns is decoded once, one ``findall`` yields its values
+  in order, and every column feed (:attr:`RunState.columns`) takes them
+  as ``(first vid, count, {attribute: values})``.  A tag the pattern
+  does not take (another order, single quotes, an entity, a missing or
+  extra attribute, ``></L>`` where columns are fed, text where none is
+  legal, a comment in the run) goes to the per-tag path, from that tag
+  on.  Each run pattern is compiled on the scanner's first run attempt
+  for its label, never when the scanner is built;
 - an element of a label the evaluator-path constraints read
   (:attr:`~repro.codegen.plan.StreamPlan.relevant`) becomes a
   :class:`StreamVertex` at its start tag, appended to its label's
@@ -80,7 +80,7 @@ from repro.obs import NULL_OBS
 from repro.xmlio.escape import unescape
 
 __all__ = ["RUN_MAX", "RunState", "StreamIndex", "StreamVertex",
-           "run_labels", "scanners"]
+           "scanners"]
 
 #: the ASCII characters ``str.isspace()`` (and ``str``-mode ``\s``)
 #: accepts: ``\t \n \x0b \x0c \r``, ``\x1c``–``\x1f`` and space — the
@@ -97,8 +97,8 @@ _ATTR_FIND = re.compile(
     r"([^\s=]+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)')").findall
 
 
-#: the values of a decoded column-run span, in document order: the span
-#: matched a column pattern, so every ``="`` opens the next value
+#: the values of a decoded run span, in document order: the span matched
+#: a run pattern, so every ``="`` opens the next value
 _VALUE_FIND = re.compile(r'=\s*"([^"]*)"').findall
 
 
@@ -115,73 +115,35 @@ RUN_MAX = 256
 _POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
 
 
-def run_labels(plan) -> dict[str, bool]:
-    """The Σ-irrelevant leaf labels whose runs the scanner consumes with
-    a regex match, each mapped to whether one text chunk is legal in it.
-
-    Such a label is retained by no constraint, fed to no kernel,
-    captured as text by no parent, declares no attributes, is admitted
-    as a child by some content model, and has a content model that
-    accepts exactly what the run pattern admits — the empty word
-    (``<L/>``, ``<L></L>``) and, when text is legal, one text chunk
-    (``<L>text</L>``).  Elements matched by the pattern can contribute
-    nothing to the report beyond a vid and one parent-DFA step, which
-    the scanner applies arithmetically.
-    """
-    runs = {}
-    for label, lp in plan.labels.items():
-        if (label in plan.relevant or label in plan.feeds
-                or label in plan.text_fields or lp.declared_attrs
-                or label not in plan.admitted):
-            continue
-        m = plan.matchers[label]
-        if m.is_accepting_state(0):
-            after_text = m.step(0, "S")
-            runs[label] = (after_text is not None
-                           and m.is_accepting_state(after_text))
-    return runs
-
-
-def _run(unit: str, ws: str) -> str:
-    """Up to :data:`RUN_MAX` elements ``unit`` separated by whitespace.
-    A match starts at the first element's ``<`` (so the first
-    separator is empty) and ends at its last element, so text after a
-    run starts where the tokenizer's does (the line of an error in that
-    text depends on it)."""
+def _run_pattern(label: str, names: tuple[str, ...], text_ok: bool,
+                 ws: str) -> str:
+    """The run pattern for a run label (:attr:`StreamPlan.runs
+    <repro.codegen.plan.StreamPlan.runs>`): up to :data:`RUN_MAX`
+    elements ``<L a1="…" a2="…"/>``, with exactly the attributes
+    ``names``, in that order, each value double-quoted and free of
+    ``<``, ``&`` and ``"``, separated by whitespace; with no ``names``
+    also ``<L></L>`` or, when text is legal, ``<L>text</L>``.  A match
+    starts at the first element's ``<`` (so the first separator is
+    empty) and ends at its last element, so text after a run starts
+    where the tokenizer's does (the line of an error in that text
+    depends on it).  No ``<`` but an element's own tags lies in a match,
+    so ``<L`` occurs in it once per element."""
     p = _POSSESSIVE
-    return f"(?:{ws}*{p}(?:{unit})){{1,{RUN_MAX}}}{p}"
-
-
-def _run_pattern(label: str, text_ok: bool, ws: str):
-    """The run pattern for a Σ-irrelevant leaf label and the tokens that
-    count its elements: ``<L/>``, ``<L></L>`` and, when text is legal,
-    ``<L>text</L>``."""
     e = re.escape(label)
-    if text_ok:
-        unit = f"<{e}>[^<&]*{_POSSESSIVE}</{e}>|<{e}/>"
-        tokens = (f"<{label}>", f"<{label}/>")
-    else:
-        unit = f"<{e}/>|<{e}></{e}>"
-        tokens = (f"<{label}/>", f"<{label}></{label}>")
-    return _run(unit, ws), tokens
-
-
-def _column_pattern(label: str, names: tuple[str, ...], ws: str) -> str:
-    """The run pattern for a column label: ``<L a1="…" a2="…"/>`` with
-    exactly the attributes ``names``, in that order, each value
-    double-quoted and free of ``<``, ``&`` and ``"``."""
-    p = _POSSESSIVE
     attrs = "".join(
         f'{ws}+{p}{re.escape(name)}{ws}*{p}={ws}*{p}"[^"<&]*{p}"'
         for name in names)
-    return _run(f"<{re.escape(label)}{attrs}{ws}*{p}/>", ws)
+    unit = f"<{e}{attrs}{ws}*{p}/>"
+    if not names:
+        unit = (f"<{e}>[^<&]*{p}</{e}>|" if text_ok
+                else f"<{e}></{e}>|") + unit
+    return f"(?:{ws}*{p}(?:{unit})){{1,{RUN_MAX}}}{p}"
 
 
-def scanners(plan, runs):
-    """The (str scanner, bytes scanner) pair for ``plan``, with the
-    labels of ``runs`` (:func:`run_labels`) taking the run fast path."""
-    return (_scanner(plan, runs, as_bytes=False),
-            _scanner(plan, runs, as_bytes=True))
+def scanners(plan):
+    """The (str scanner, bytes scanner) pair for ``plan``."""
+    return (_scanner(plan, as_bytes=False),
+            _scanner(plan, as_bytes=True))
 
 
 def _duplicate_attribute(name: str, label: str, line: int):
@@ -190,7 +152,7 @@ def _duplicate_attribute(name: str, label: str, line: int):
         f"duplicate attribute {name!r} in start tag <{label}", line=line)
 
 
-def _scanner(plan, runs, *, as_bytes):
+def _scanner(plan, *, as_bytes):
     if as_bytes:
         def M(s):
             return s.encode("ascii")
@@ -217,27 +179,24 @@ def _scanner(plan, runs, *, as_bytes):
     # 0 str label  1 matcher rows  2 matcher acceptance  3 matcher
     # 4 declared (live order)  5 set-valued  6 run match (None until the
     # first run attempt)  7 run pattern (None: no run path)  8 run count
-    # tokens  9 column attribute names (None: a Σ-irrelevant run)
+    # token ``<L``  9 run attribute names (``()``: a run without columns)
     LABELS = {}
     for slabel, lp in plan.labels.items():
         if as_bytes and not slabel.isascii():
             continue  # the bytes scanner only ever sees ASCII input
         m = plan.matchers[slabel]
-        text_ok = runs.get(slabel)
-        names = plan.columns.get(slabel)
-        pattern, run_tokens = None, ()
-        if text_ok is not None:
-            pattern, tokens = _run_pattern(slabel, text_ok, ws)
-            run_tokens = tuple(M(t) for t in tokens)
-        elif names is not None and (
-                not as_bytes or all(n.isascii() for n in names)):
-            # (an element carrying a non-ASCII attribute name never
-            # reaches the bytes scanner)
-            pattern = _column_pattern(slabel, names, ws)
+        run = plan.runs.get(slabel)
+        pattern, names = None, ()
+        if run is not None:
+            names, text_ok = run
+            if not as_bytes or all(n.isascii() for n in names):
+                # (an element carrying a non-ASCII attribute name never
+                # reaches the bytes scanner)
+                pattern = _run_pattern(slabel, names, text_ok, ws)
         LABELS[M(slabel)] = [
             slabel, m.rows, m.accepting, m,
-            lp.declared_attrs, lp.set_valued, None, pattern, run_tokens,
-            names]
+            lp.declared_attrs, lp.set_valued, None, pattern,
+            M("<" + slabel), names]
     LT = M("<")
     AMP = M("&")
     NL = M("\n")
@@ -391,8 +350,7 @@ def _scanner(plan, runs, *, as_bytes):
                 label, span, slash = m.groups()
                 rec = labels.get(label)
                 if stack and rec is not None and rec[7] is not None:
-                    # a run of Σ-irrelevant or column leaves: consume up
-                    # to RUN_MAX of them
+                    # a run of leaves: consume up to RUN_MAX of them
                     run = rec[6]
                     if run is None:
                         run = rec[6] = R(rec[7]).match
@@ -402,10 +360,8 @@ def _scanner(plan, runs, *, as_bytes):
                             flush()
                         start, end = sm.span()
                         names = rec[9]
-                        if names is None:
-                            cnt = 0
-                            for tok in rec[8]:
-                                cnt += count(tok, start, end)
+                        if not names:
+                            cnt = count(rec[8], start, end)
                             n_skipped += cnt
                         else:
                             values = _VALUE_FIND(dec(buf[start:end]))
@@ -813,12 +769,12 @@ class RunState:
         self.feeds = feeds = {
             label: tuple(evaluators[i].feeds[role] for i, role in sites)
             for label, sites in plan.feeds.items()}
-        #: column label -> the column feeds a run of that label runs,
-        #: in the order of :attr:`feeds`
+        #: run label with run attributes -> the column feeds a run of
+        #: that label runs, in the order of :attr:`feeds`
         self.columns = columns = {
             label: tuple(evaluators[i].columns[role]
                          for i, role in plan.feeds.get(label, ()))
-            for label in plan.columns}
+            for label, (names, _text_ok) in plan.runs.items() if names}
         if owners is not None:
             for label, feed in owners.feeds.items():
                 feeds[label] = (feed, *feeds.get(label, ()))
@@ -826,8 +782,8 @@ class RunState:
                 if label in columns:
                     columns[label] = (column, *columns[label])
         self.next_vid = 0
-        #: elements admitted through the Σ-irrelevant run fast path
-        #: (never individually materialized)
+        #: elements admitted through runs without columns (never
+        #: individually materialized)
         self.n_skipped = 0
         #: elements fed to the kernels through column runs
         self.n_column = 0

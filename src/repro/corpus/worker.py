@@ -40,7 +40,6 @@ from repro.dtd.dtdc import DTDC
 from repro.dtd.validate import validate
 from repro.errors import ReproError
 from repro.obs import Observability, activate, parse_traceparent
-from repro.xmlio import encode_document
 from repro.xmlio.parser import parse_document
 
 __all__ = ["init_worker", "stream_chunk", "stream_docs", "validate_chunk",
@@ -114,9 +113,6 @@ def stream_docs(entries: "list[tuple[str, str, str]]", compiled,
                 key = result_key_bytes(data, fingerprint)
                 report = sv.validate_bytes(data)
             else:
-                if not value.isascii():
-                    # a lone surrogate is this text's located error
-                    encode_document(value)
                 report = sv.validate_text(value)
             verdict = {"doc": doc_id, "key": key, "error": None}
             if merge:

@@ -194,10 +194,6 @@ class AttributeIndex:
         """``ext(label).attr``: all values of ``attr`` over ``ext(label)``."""
         return set(self._owners.get((label, attr), {}))
 
-    def value_count(self, label: str, attr: str, value: str) -> int:
-        """How many vertices of ``label`` carry ``value`` in ``attr``."""
-        return len(self._owners.get((label, attr), {}).get(value, {}))
-
     def vertices_with_value(self, label: str, attr: str,
                             value: str) -> list[Vertex]:
         """Vertices in ``ext(label)`` whose ``attr`` set contains ``value``."""

@@ -43,10 +43,6 @@ class DTDC:
         return self.with_constraints(
             parse_constraints(text, self.structure))
 
-    def constraints_of_type(self, *types) -> list[Constraint]:
-        """The constraints that are instances of the given classes."""
-        return [c for c in self.constraints if isinstance(c, types)]
-
     def describe(self) -> str:
         """Human-readable dump: structure then Σ."""
         lines = [self.structure.describe()]

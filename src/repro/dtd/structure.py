@@ -18,10 +18,9 @@ one ID attribute, and ID attributes are single-valued.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
 
 from repro.errors import SchemaError
-from repro.regexlang.ast import ATOMIC, EPSILON, Regex
+from repro.regexlang.ast import ATOMIC, Regex
 from repro.regexlang.parse import parse_regex
 from repro.regexlang.properties import symbols_of, unique_subelements
 
@@ -220,27 +219,3 @@ class DTDStructure:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"<DTDStructure root={self.root!r} "
                 f"|E|={len(self._content)}>")
-
-
-def empty_content() -> Regex:
-    """The EMPTY content model (epsilon)."""
-    return EPSILON
-
-
-def structure_from_elements(root: str,
-                            elements: Iterable[tuple[str, str]],
-                            attributes: Iterable[tuple] = ()) -> DTDStructure:
-    """Bulk constructor used by tests and generators.
-
-    ``elements`` yields ``(name, content_model_text)`` pairs;
-    ``attributes`` yields ``(element, attribute)``,
-    ``(element, attribute, set_valued)`` or
-    ``(element, attribute, set_valued, kind)`` tuples.
-    """
-    s = DTDStructure(root)
-    for name, content in elements:
-        s.define_element(name, content)
-    for spec in attributes:
-        s.define_attribute(*spec)
-    s.check()
-    return s

@@ -38,9 +38,8 @@ from collections.abc import Iterable
 
 from repro.constraints.base import Constraint, Field
 from repro.constraints.lang_l import ForeignKey, Key
-from repro.constraints.lang_lu import UnaryForeignKey, UnaryKey
-from repro.errors import LanguageMismatchError, UndecidableProblemError
-from repro.implication.l_primary import _compose
+from repro.errors import UndecidableProblemError
+from repro.implication.l_primary import _compose, _normalize
 from repro.implication.result import Derivation, ImplicationResult, given
 from repro.obs import NULL_OBS
 from repro.relational.chase import ChaseOutcome, ChaseResult, chase
@@ -49,21 +48,6 @@ from repro.relational.ind import IND
 from repro.relational.schema import Database, RelationSchema
 
 VID = "#vid"
-
-
-def _normalize(constraints: Iterable[Constraint]) -> list[Constraint]:
-    out: list[Constraint] = []
-    for c in constraints:
-        if isinstance(c, UnaryKey):
-            out.append(Key(c.element, (c.field,)))
-        elif isinstance(c, UnaryForeignKey):
-            out.append(ForeignKey(c.element, (c.field,), c.target,
-                                  (c.target_field,)))
-        elif isinstance(c, (Key, ForeignKey)):
-            out.append(c)
-        else:
-            raise LanguageMismatchError(f"{c} is not an L constraint")
-    return out
 
 
 def l_to_fd_ind(sigma: Iterable[Constraint],

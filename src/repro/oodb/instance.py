@@ -69,10 +69,6 @@ class ObjectStore:
         """All objects of one class, in insertion order."""
         return [o for o in self._objects.values() if o.cls == cls]
 
-    def all_objects(self) -> list[StoredObject]:
-        """Every stored object, in insertion order."""
-        return list(self._objects.values())
-
     # -- integrity -------------------------------------------------------------
 
     def check(self) -> list[str]:

@@ -79,10 +79,6 @@ class Path:
         """This path followed by ``other``."""
         return Path(self.steps + other.steps)
 
-    def reversed_names(self) -> tuple[str, ...]:
-        """The step names in reverse order (inverse-composition helper)."""
-        return tuple(s.name for s in reversed(self.steps))
-
     def __str__(self) -> str:
         return ".".join(str(s) for s in self.steps) if self.steps else "ε"
 

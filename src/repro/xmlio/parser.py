@@ -16,6 +16,7 @@ from __future__ import annotations
 from repro.datamodel.tree import DataTree, Vertex
 from repro.dtd.structure import DTDStructure
 from repro.errors import XMLSyntaxError
+from repro.xmlio.escape import encode_document
 from repro.xmlio.tokenizer import Token, Tokenizer
 
 
@@ -44,6 +45,10 @@ def parse_document(text: str, structure: DTDStructure | None = None,
 
 def _parse_document(text: str, structure: DTDStructure | None,
                     keep_whitespace: bool) -> DataTree:
+    if not text.isascii():
+        # a lone surrogate is this text's located error, as it is where
+        # the text is encoded to bytes
+        encode_document(text)
     tree: DataTree | None = None
     stack: list[Vertex] = []
     pending_text: list[tuple[str, int]] = []

@@ -496,7 +496,8 @@ class TestColumnRuns:
         dtd = DTDC(structure, constraints, check=False)
         text = _column_text(three, runs, mutations)
         cg = CodegenValidator(as_handle(dtd))
-        assert set(cg.compiled.plan.columns) <= {"e", "r"}
+        assert {label for label, (names, _text_ok)
+                in cg.compiled.plan.runs.items() if names} <= {"e", "r"}
         assert all(spec is not None for spec in cg.compiled.plan.kernels)
 
         tree = parse_document(text, structure)
@@ -517,15 +518,17 @@ class TestColumnRuns:
             == extract_aggregates(dtd, tree)
 
     def test_column_labels(self):
-        """``e`` and ``r`` are column labels; ``x`` (Σ-irrelevant) and
-        the root are not, and no run pattern is built for the root."""
+        """``e`` and ``r`` runs carry their declared attributes as
+        columns, an ``x`` (Σ-irrelevant) run carries none and may hold
+        text, and the root takes no run."""
         dtd = DTDC(COLUMN_STRUCTURES[True],
                    [Key("e", (F("m"), F("k"))), IDForeignKey(
                        "r", F("to"), "e")], check=False)
         compiled = CodegenValidator(as_handle(dtd)).compiled
-        assert compiled.plan.columns == {"e": ("m", "k", "oid"),
-                                         "r": ("to",)}
-        assert compiled.runs == {"x": True}
+        assert compiled.plan.runs == {"e": (("m", "k", "oid"), False),
+                                      "r": (("to",), False),
+                                      "x": ((), True)}
+        assert compiled.runs is compiled.plan.runs
 
     def test_parent_content_model_counts_run_children(self):
         """A column run steps its parent's content model once per

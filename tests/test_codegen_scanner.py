@@ -169,12 +169,32 @@ class TestIrrelevantRuns:
         # items after an entry: the parent DFA dies inside the run
         "<feed><item>p</item><entry sku='a'/>"
         + "<item>q</item>\n<item/>" * 30 + "<ref to='b'/></feed>",
+        # whitespace before "/>"
+        "<feed>" + "<item />\n<item>p</item><item\t/>" * 40
+        + "<entry sku='a'/><ref to='a'/></feed>",
     ])
     def test_every_view_counts_the_run(self, text):
         from repro.xmlio.dtdparse import parse_dtdc
 
         dtd = parse_dtdc(FEED_SCHEMA)
         _assert_agree(_views(dtd, CodegenValidator(as_handle(dtd)), text))
+
+    def test_whitespace_before_the_slash_stays_in_the_run(self, tmp_path):
+        """``<item />`` is a run element like ``<item/>``: every view
+        takes all of a feed's items through runs without columns."""
+        from repro.xmlio.dtdparse import parse_dtdc
+
+        cg = CodegenValidator(as_handle(parse_dtdc(FEED_SCHEMA)))
+        n = RUN_MAX + 7
+        text = ("<feed>" + "<item />\n<item>p</item><item\t/>" * n
+                + "</feed>")
+        path = tmp_path / "feed.xml"
+        path.write_text(text)
+        for view in (lambda: cg.validate_text(text),
+                     lambda: cg.validate_bytes(text.encode()),
+                     lambda: cg.validate_path(str(path))):
+            assert view().ok
+            assert cg.last_run.n_skipped == 3 * n
 
 
 class TestErrorLines:

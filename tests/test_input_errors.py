@@ -14,7 +14,8 @@ rejects them:
 - ``--`` inside a comment, or a comment ending in ``-``.
 
 Each is now an :class:`~repro.errors.XMLSyntaxError` with a line: CLI
-exit 2 with the same message on every engine, HTTP 422
+exit 2 with the same message on every engine (and the same error from
+``Validator.check`` on a ``str`` document), HTTP 422
 ``invalid-document``, and in corpus and sharded runs an error verdict
 for that document while every other verdict stands.
 """
@@ -251,6 +252,15 @@ def test_encode_document_locates_the_surrogate():
     assert encode_document(GOOD) == GOOD.encode("utf-8")
     with pytest.raises(XMLSyntaxError) as exc:
         encode_document(SURROGATE_TEXT)
+    assert str(exc.value) == SURROGATE_ERROR
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_validator_check_locates_the_surrogate(engine):
+    """The in-process API rejects the text the CLI, ``serve`` and the
+    corpus runs reject, with the same message."""
+    with pytest.raises(XMLSyntaxError) as exc:
+        Validator(book_dtdc()).check(SURROGATE_TEXT, engine=engine)
     assert str(exc.value) == SURROGATE_ERROR
 
 

@@ -131,6 +131,8 @@ class TestStreamPlan:
         _ = plan.matchers  # force the lazy table, then drop it in transit
         clone = pickle.loads(pickle.dumps(plan))
         assert clone._matchers is None
+        assert clone.runs == plan.runs == {
+            "entry": (("isbn", "shelf"), True), "ref": (("to",), False)}
         text = ('<library><entry isbn="1" shelf="a">x</entry>'
                 '<ref to="1"/></library>')
         assert _single_pass(clone).validate_text(text).to_json() \
