@@ -42,8 +42,16 @@ What a scanner does per construct:
   the copy an ``mmap`` (which has no ``count``) needs to count a match
   in grows with the run; the parent DFA advances arithmetically.  A run
   element carries exactly the label's run attributes, in declaration
-  order, double-quoted and free of ``<``, ``&`` and ``"``.  A run
-  without columns is counted by one ``count`` of ``<L`` over the match.
+  order, double-quoted and free of ``<``, ``&`` and ``"``, or, with no
+  run attributes, text free of ``<``.  No match crosses the document's
+  next ``&``: the scanner keeps the offset of the first ``&`` at or
+  after a run's start, found again by one ``find`` only once a run
+  starts past it, and passes it as every run match's ``endpos``, so a
+  run ends before the element whose text holds that ``&``, and the
+  element takes the per-tag path.  (``[^<]`` compiles to ``re``'s
+  one-character loop; ``[^<&]`` takes its general set test for every
+  character, at about a third of the speed.)  A run without columns is
+  counted by one ``count`` of ``<L`` over the match.
   A run with columns is decoded once, one ``findall`` yields its values
   in order, and every column feed (:attr:`RunState.columns`) takes them
   as ``(first vid, count, {attribute: values})``.  A tag the pattern
@@ -122,12 +130,15 @@ def _run_pattern(label: str, names: tuple[str, ...], text_ok: bool,
     elements ``<L a1="…" a2="…"/>``, with exactly the attributes
     ``names``, in that order, each value double-quoted and free of
     ``<``, ``&`` and ``"``, separated by whitespace; with no ``names``
-    also ``<L></L>`` or, when text is legal, ``<L>text</L>``.  A match
-    starts at the first element's ``<`` (so the first separator is
-    empty) and ends at its last element, so text after a run starts
-    where the tokenizer's does (the line of an error in that text
-    depends on it).  No ``<`` but an element's own tags lies in a match,
-    so ``<L`` occurs in it once per element."""
+    also ``<L></L>`` or, when text is legal, ``<L>text</L>``, the text
+    free of ``<``.  The pattern lets a ``&`` through in that text, so
+    the scanner passes the offset of the next ``&`` as every match's
+    ``endpos``: a unit holding one runs past it and fails, and no match
+    holds a ``&``.  A match starts at the first element's ``<`` (so the
+    first separator is empty) and ends at its last element, so text
+    after a run starts where the tokenizer's does (the line of an error
+    in that text depends on it).  No ``<`` but an element's own tags
+    lies in a match, so ``<L`` occurs in it once per element."""
     p = _POSSESSIVE
     e = re.escape(label)
     attrs = "".join(
@@ -135,7 +146,7 @@ def _run_pattern(label: str, names: tuple[str, ...], text_ok: bool,
         for name in names)
     unit = f"<{e}{attrs}{ws}*{p}/>"
     if not names:
-        unit = (f"<{e}>[^<&]*{p}</{e}>|" if text_ok
+        unit = (f"<{e}>[^<]*{p}</{e}>|" if text_ok
                 else f"<{e}></{e}>|") + unit
     return f"(?:{ws}*{p}(?:{unit})){{1,{RUN_MAX}}}{p}"
 
@@ -246,6 +257,9 @@ def _scanner(plan, *, as_bytes):
         n_skipped = 0
         n_column = 0
         root_seen = False
+        # the first '&' at or after the start of the run attempt that
+        # looked for it (n: none); -1 until the first run attempt looks
+        next_amp = -1
 
         count = getattr(buf, "count", None)
         if count is None:
@@ -350,15 +364,22 @@ def _scanner(plan, *, as_bytes):
                 label, span, slash = m.groups()
                 rec = labels.get(label)
                 if stack and rec is not None and rec[7] is not None:
-                    # a run of leaves: consume up to RUN_MAX of them
+                    # a run of leaves: consume up to RUN_MAX of them,
+                    # ending before the next '&', so an element whose
+                    # text holds one takes the per-tag path
                     run = rec[6]
                     if run is None:
                         run = rec[6] = R(rec[7]).match
-                    sm = run(buf, m.start(1) - 1)
+                    start = m.start(1) - 1
+                    if next_amp < start:
+                        next_amp = find(AMP, start)
+                        if next_amp < 0:
+                            next_amp = n
+                    sm = run(buf, start, next_amp)
                     if sm is not None:
                         if pending:
                             flush()
-                        start, end = sm.span()
+                        end = sm.end()
                         names = rec[9]
                         if not names:
                             cnt = count(rec[8], start, end)

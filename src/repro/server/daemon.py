@@ -769,11 +769,7 @@ class ValidationServer:
             pass  # client went away mid-exchange; nothing to answer
         finally:
             self._conns.discard(entry)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            await _close_writer(writer)
 
     def _route_http(self, request: HttpRequest) -> HttpResponse:
         """Map an HTTP request onto the shared dispatcher."""
@@ -871,33 +867,39 @@ class ValidationServer:
         """One request object per line in, one response per line out.
 
         Returns on EOF, on a ``shutdown`` op, or when the server is
-        shutting down.  Works over any stream pair — the stdio mode of
-        ``repro-xic serve`` and the TCP-socket tests both land here.
+        shutting down, closing ``writer`` on every way out.  It is a
+        connection handler for a TCP JSONL listener
+        (``asyncio.start_server(server.serve_jsonl, …)``); the stdio mode
+        has its own loop, :meth:`serve_stdio`.
         """
-        while not self._shutdown.is_set():
-            try:
-                line = await reader.readline()
-            except (ValueError, asyncio.LimitOverrunError):
-                payload = _error("bad-request", "request line too long")
+        try:
+            while not self._shutdown.is_set():
+                try:
+                    line = await reader.readline()
+                except (ValueError, asyncio.LimitOverrunError):
+                    payload = _error("bad-request",
+                                     "request line too long")
+                    writer.write(_json_bytes(payload) + b"\n")
+                    await writer.drain()
+                    break
+                if not line:
+                    break
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    req = json.loads(line)
+                    if not isinstance(req, dict):
+                        raise ValueError("request must be a JSON object")
+                except ValueError as exc:
+                    payload = _error("bad-request", f"unparseable request: "
+                                     f"{exc}")
+                else:
+                    payload, _status = self.handle_request(req)
                 writer.write(_json_bytes(payload) + b"\n")
                 await writer.drain()
-                break
-            if not line:
-                break
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                req = json.loads(line)
-                if not isinstance(req, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as exc:
-                payload = _error("bad-request", f"unparseable request: "
-                                 f"{exc}")
-            else:
-                payload, _status = self.handle_request(req)
-            writer.write(_json_bytes(payload) + b"\n")
-            await writer.drain()
+        finally:
+            await _close_writer(writer)
 
     async def serve_stdio(self) -> None:
         """JSONL over this process's stdin/stdout.
@@ -981,6 +983,16 @@ class ValidationServer:
         return (f"<ValidationServer schemas={self.registry.names()} "
                 f"http={self.http_address} "
                 f"cache={'on' if self.cache is not None else 'off'}>")
+
+
+async def _close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close a connection's writer and wait until its socket is closed,
+    so it is not left to the collector."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):  # pragma: no cover
+        pass
 
 
 def _required(req: dict, field: str) -> str:

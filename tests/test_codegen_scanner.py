@@ -31,7 +31,12 @@ Properties of the one-regex-per-tag scanner in
   nothing and never runs the pass.
 - **Bounded runs.**  A Σ-irrelevant run longer than one run match is
   consumed in several, with the parent content model stepped across
-  them.
+  them.  No run match crosses the document's next ``&``: an entity or
+  character reference, defined or not, at a run's first, 256th, 257th
+  or last element gives batch's report or located error, and every
+  item whose text holds no ``&`` is still counted as skipped.  The
+  ``&`` lookups of one document read disjoint spans, under parents
+  with attributes too.
 """
 
 import os
@@ -44,7 +49,7 @@ from hypothesis import strategies as st
 
 from repro import engines
 from repro.codegen import CodegenValidator
-from repro.codegen.runtime import RUN_MAX
+from repro.codegen.runtime import RUN_MAX, RunState
 from repro.constraints.base import Field
 from repro.constraints.lang_l import Key
 from repro.constraints.lang_lu import Inverse, UnaryForeignKey, UnaryKey
@@ -723,3 +728,146 @@ class TestBoundedRuns:
                            + "</feed>").encode())
         assert cg.last_run.n_skipped == n
         assert cg.last_run.next_vid == n + 1
+
+
+NESTED_SCHEMA = """
+<!ELEMENT doc (group*, entry*)>
+<!ELEMENT group (item*)>
+<!ELEMENT item (#PCDATA)?>
+<!ELEMENT entry EMPTY>
+<!ATTLIST group id CDATA #REQUIRED>
+<!ATTLIST entry sku CDATA #REQUIRED>
+%% constraints
+entry.sku -> entry
+"""
+
+
+class _AmpReads:
+    """A document whose ``find`` records how far each lookup of ``&``
+    reads: to the ``&`` it finds, or to the end."""
+
+    def find(self, sub, *args):
+        hit = super().find(sub, *args)
+        if sub == self.AMP:
+            start = args[0] if args else 0
+            self.reads.append((hit if hit >= 0 else len(self)) - start)
+        return hit
+
+
+class _AmpReadsStr(_AmpReads, str):
+    AMP = "&"
+
+
+class _AmpReadsBytes(_AmpReads, bytes):
+    AMP = b"&"
+
+
+class TestRunsEndBeforeAmpersand:
+    """A text run unit is ``<L>[^<]*</L>``: the pattern lets a ``&``
+    through, and the scanner bounds every run match at the document's
+    next ``&``, so a run ends before the element whose text holds one,
+    and that element takes the per-tag path (unescaping, or the located
+    error of an undefined entity)."""
+
+    N = 3 * RUN_MAX + 17
+
+    @staticmethod
+    def _cg():
+        from repro.xmlio.dtdparse import parse_dtdc
+
+        dtd = parse_dtdc(FEED_SCHEMA)
+        return dtd, CodegenValidator(as_handle(dtd))
+
+    @staticmethod
+    def _skipped(cg, text: str, tmp_path) -> dict:
+        """``codegen_skipped_elements`` of ``text`` in every input form,
+        and the report it validated to."""
+        path = tmp_path / "feed.xml"
+        path.write_text(text)
+        counts = {}
+        for form, view in (("text", lambda v: v.validate_text(text)),
+                           ("bytes", lambda v: v.validate_bytes(
+                               text.encode())),
+                           ("path", lambda v: v.validate_path(str(path)))):
+            obs = Observability()
+            report = view(CodegenValidator(cg.compiled, obs=obs))
+            counts[form] = (obs.metrics.total("codegen_skipped_elements"),
+                            report.to_json())
+        return counts
+
+    @pytest.mark.parametrize("at", [0, RUN_MAX - 1, RUN_MAX, N - 1])
+    @pytest.mark.parametrize("entity", ["&amp;", "&#x41;", "&bogus;"])
+    def test_entity_at_a_run_boundary_matches_batch(self, entity, at):
+        dtd, cg = self._cg()
+        items = "".join(
+            f"<item>p{entity if i == at else ''}q</item>\n"
+            for i in range(self.N))
+        text = f"<feed>{items}<entry sku='a'/><ref to='a'/></feed>"
+        views = _views(dtd, cg, text)
+        _assert_agree(views)
+        if entity == "&bogus;":
+            assert views["batch"][:2] == ("error", "XMLSyntaxError")
+            assert f"line {at + 1}" in views["batch"][2]
+        else:
+            assert views["batch"][0] == "report"
+
+    def test_ampersand_in_every_item_skips_none(self, tmp_path):
+        dtd, cg = self._cg()
+        text = ("<feed>" + "<item>a&amp;b</item>\n" * self.N
+                + "<entry sku='a'/></feed>")
+        expected = validate(parse_document(text, dtd.structure),
+                            dtd).to_json()
+        assert self._skipped(cg, text, tmp_path) == {
+            form: (0, expected) for form in ("text", "bytes", "path")}
+
+    def test_every_item_without_an_ampersand_is_skipped(self, tmp_path):
+        dtd, cg = self._cg()
+        n = 785
+        text = "<feed>" + "".join(
+            f"<item>p{' &amp; q' if i % 100 == 0 else ''}</item>\n"
+            for i in range(n)) + "<entry sku='a'/></feed>"
+        expected = validate(parse_document(text, dtd.structure),
+                            dtd).to_json()
+        assert self._skipped(cg, text, tmp_path) == {
+            form: (777, expected) for form in ("text", "bytes", "path")}
+
+    def test_ampersand_outside_the_runs_skips_every_item(self, tmp_path):
+        """A ``&`` before the first run (in a PI ahead of the root) or
+        after the last (in an ``entry`` attribute) ends no run."""
+        dtd, cg = self._cg()
+        text = ("<?pi a&b?><feed>" + "<item>p</item>\n" * self.N
+                + '<entry sku="a"/><entry sku="b&amp;c"/>'
+                '<ref to="a"/></feed>')
+        expected = validate(parse_document(text, dtd.structure),
+                            dtd).to_json()
+        assert self._skipped(cg, text, tmp_path) == {
+            form: (self.N, expected) for form in ("text", "bytes", "path")}
+
+    @pytest.mark.parametrize("amp_every", [0, 10],
+                             ids=["none", "every-10th"])
+    def test_one_pass_of_find_under_attributed_parents(self, amp_every):
+        """The ``&`` lookups of one document read disjoint spans: under
+        parents that carry attributes (each takes the per-tag path), a
+        run attempt looks again only once it starts past the last
+        ``&`` found, so a document with none pays for one lookup."""
+        from repro.xmlio.dtdparse import parse_dtdc
+
+        dtd = parse_dtdc(NESTED_SCHEMA)
+        compiled = CodegenValidator(as_handle(dtd)).compiled
+        m = 50
+        ids = [f"g{i}&amp;" if amp_every and i % amp_every == 0
+               else f"g{i}" for i in range(m)]
+        text = "<doc>" + "".join(
+            f'<group id="{gid}">' + "<item>x</item>" * 3 + "</group>"
+            for gid in ids) + '<entry sku="a"/></doc>'
+        expected = validate(parse_document(text, dtd.structure),
+                            dtd).to_json()
+        for doc, scan in ((_AmpReadsStr(text), compiled.scan_str),
+                          (_AmpReadsBytes(text.encode()),
+                           compiled.scan_bytes)):
+            doc.reads = []
+            rs = RunState(compiled.plan)
+            assert scan(doc, rs).to_json() == expected
+            assert rs.n_skipped == 3 * m
+            assert len(doc.reads) == (m // amp_every if amp_every else 1)
+            assert sum(doc.reads) <= len(doc)
